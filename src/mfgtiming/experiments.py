@@ -56,9 +56,24 @@ CONFIG_SCHEMA: dict = {
         "payoff": {
             "type": "object",
             "required": ["kind"],
-            "properties": {"kind": {"enum": [
-                "bankrun", "crowd_discount", "diffusion", "constant",
-                "crowd_fraction"]}},
+            "properties": {
+                "kind": {"enum": ["bankrun", "crowd_discount", "diffusion",
+                                  "constant", "crowd_fraction"]},
+                "liquidation": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {"preset": {"type": "string"},
+                                   "a": {"type": "number"},
+                                   "c": {"type": "number"}},
+                },
+            },
+            "allOf": [
+                {"if": {"required": ["kind"], "properties": {"kind": {"const": "bankrun"}}},
+                 "then": {"required": ["rbar", "r"]}},
+                {"if": {"required": ["kind"],
+                        "properties": {"kind": {"const": "crowd_discount"}}},
+                 "then": {"required": ["r", "c"]}},
+            ],
         },
         "info": {
             "type": "object",
@@ -74,6 +89,7 @@ CONFIG_SCHEMA: dict = {
         "task": {
             "type": "object",
             "required": ["kind"],
+            "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["solve-mfe", "check", "eps-nash",
                                   "converge", "bankrun-demo"]},
@@ -164,16 +180,19 @@ def _make_phi(cfg: dict, lat: LatticeModel) -> Callable[[float], float]:
     return lambda u: scale * (u - u * u / (4.0 * horizon))
 
 
+def _bankrun_params(cfg: dict) -> BankRunParams:
+    return BankRunParams(
+        rbar=float(cfg["rbar"]), r=float(cfg["r"]),
+        liquidation=_make_liquidation(cfg.get("liquidation", {})),
+        d0=float(cfg.get("d0", 1.0)))
+
+
 def build_payoff(config: dict, lat: LatticeModel) -> PayoffSpec:
     cfg = config["payoff"]
     kind = cfg["kind"]
     closed = bool(config.get("closed_interval", False))
     if kind == "bankrun":
-        params = BankRunParams(
-            rbar=float(cfg["rbar"]), r=float(cfg["r"]),
-            liquidation=_make_liquidation(cfg.get("liquidation", {})),
-            d0=float(cfg.get("d0", 1.0)))
-        return bankrun_payoff(params, lat, closed_interval=closed)
+        return bankrun_payoff(_bankrun_params(cfg), lat, closed_interval=closed)
     if kind == "crowd_discount":
         return crowd_discount_payoff(
             CrowdDiscountParams(r=float(cfg["r"]), c=float(cfg["c"])), lat)
@@ -235,27 +254,26 @@ def law_payload(law: AdaptedMeasure) -> dict:
     return {"cdf": [[float(x) for x in row] for row in law.cdf]}
 
 
-def iteration_payload(res: IterationResult, with_laws: bool) -> dict:
-    out = {
+def iteration_payload(res: IterationResult) -> dict:
+    """One iteration end.  A trace entry holds the rule and its value; the
+    law it answered is the conditional law of the entry before it (of the
+    starting rule for the first), so no law is stored."""
+    return {
         "rule": rule_payload(res.rule),
         "value": res.value,
         "converged": res.converged,
         "iterations": res.iterations,
         "monotone": res.monotone,
         "cycle_length": res.cycle_length,
-        "trace": [
-            {"rule": rule_payload(rec.rule), "value": rec.value,
-             **({"law": law_payload(rec.law)} if with_laws else {})}
-            for rec in res.trace
-        ],
+        "trace": [{"rule": rule_payload(rec.rule), "value": rec.value}
+                  for rec in res.trace],
     }
-    return out
 
 
-def equilibrium_payload(res: EquilibriumResult, with_laws: bool = False) -> dict:
+def equilibrium_payload(res: EquilibriumResult) -> dict:
     return {
-        "top": iteration_payload(res.top, with_laws),
-        "bottom": iteration_payload(res.bottom, with_laws),
+        "top": iteration_payload(res.top),
+        "bottom": iteration_payload(res.bottom),
         "converged": res.converged,
         "iterations": res.iterations,
         "bracket_tight": res.tight,
@@ -271,9 +289,11 @@ def equilibrium_payload(res: EquilibriumResult, with_laws: bool = False) -> dict
 
 def _task_solve_mfe(config, lat, payoff, tree) -> dict:
     res = solve_mfe(payoff, tree, lat, config["task"].get("max_iter"))
-    out = equilibrium_payload(res, with_laws=True)
-    for name, rule in (("verify_top", res.rule_max), ("verify_bottom", res.rule_min)):
-        v = verify_mfe(payoff, rule, tree, lat)
+    out = equilibrium_payload(res)
+    for name, end in (("verify_top", res.top), ("verify_bottom", res.bottom)):
+        v = end.verification  # a converged end's last step already solved its law
+        if v is None:
+            v = verify_mfe(payoff, end.rule, tree, lat)
         out[name] = {"is_mfe": v.is_mfe, "gap": v.gap}
     return out
 
@@ -345,11 +365,7 @@ def _task_converge(config, lat, payoff, tree) -> dict:
 
 
 def _task_bankrun_demo(config, lat, payoff, tree) -> dict:
-    cfg = config["payoff"]
-    params = BankRunParams(
-        rbar=float(cfg["rbar"]), r=float(cfg["r"]),
-        liquidation=_make_liquidation(cfg.get("liquidation", {})),
-        d0=float(cfg.get("d0", 1.0)))
+    params = _bankrun_params(config["payoff"])
     hitting = public_info_equilibrium(params, lat)
     # full-recovery payoff by direct path enumeration
     rho = params.rbar - params.r

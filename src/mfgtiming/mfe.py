@@ -23,13 +23,22 @@ from .snell import snell_solve
 from .trees import InfoTree, StoppingRule, conditional_law, public_tree
 
 
+VERIFY_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class VerifyResult:
+    is_mfe: bool
+    gap: float
+
+
 @dataclass(frozen=True)
 class IterationRecord:
-    """One best-response step: the rule produced, the crowd law it
-    answered, and the optimal value against that law."""
+    """One best-response step: the rule produced and the optimal value
+    against the law it answered, the conditional law of the rule from
+    the step before."""
 
     rule: StoppingRule
-    law: AdaptedMeasure
     value: float
 
 
@@ -46,39 +55,50 @@ class IterationResult:
     monotone: bool
     cycle_length: Optional[int]
 
+    @property
+    def verification(self) -> Optional[VerifyResult]:
+        """Best-response gap of a converged end, from its own last step.
+
+        That step solved against ``law`` and returned ``rule`` itself, so
+        its value is the optimum against ``law``, and the gap is the one
+        :func:`verify_mfe` computes.  None when the end did not converge.
+        """
+        if not self.converged:
+            return None
+        gap = float(self.trace[-1].value - self.value)
+        return VerifyResult(bool(gap <= VERIFY_TOL), gap)
+
 
 def _iterate(payoff: PayoffSpec, tree: InfoTree, lat: LatticeModel,
              max_iter: int, descending: bool) -> IterationResult:
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     current = StoppingRule.stop_at(tree, lat.steps if descending else 0)
+    law = conditional_law(current)  # always the law of `current`
     seen = {current.key(): 0}
     trace: list[IterationRecord] = []
     monotone = True
     converged = False
     cycle = None
     for i in range(1, max_iter + 1):
-        law = conditional_law(current)
         sol = snell_solve(payoff, law, tree, lat)
         new = sol.rule_max if descending else sol.rule_min
-        trace.append(IterationRecord(new, law, sol.value))
+        trace.append(IterationRecord(new, sol.value))
         ordered = new.pointwise_leq(current) if descending else current.pointwise_leq(new)
         if not ordered:
             monotone = False
         if new == current:
             converged = True
-            current = new
             break
         prev_visit = seen.get(new.key())
+        current = new
+        law = conditional_law(current)
         if prev_visit is not None:
-            current = new
             cycle = i - prev_visit
             break
         seen[new.key()] = i
-        current = new
-    final_law = conditional_law(current)
-    final_value = evaluate_J(payoff, final_law, current, lat)
-    return IterationResult(current, final_law, final_value, trace, converged,
+    value = evaluate_J(payoff, law, current, lat)
+    return IterationResult(current, law, value, trace, converged,
                            len(trace), monotone, cycle)
 
 
@@ -156,14 +176,8 @@ def solve_mfe(payoff: PayoffSpec, tree: InfoTree, lat: LatticeModel,
     return result
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    is_mfe: bool
-    gap: float
-
-
 def verify_mfe(payoff: PayoffSpec, rule: StoppingRule, tree: InfoTree,
-               lat: LatticeModel, tol: float = 1e-9) -> VerifyResult:
+               lat: LatticeModel, tol: float = VERIFY_TOL) -> VerifyResult:
     """Best-response gap of a rule against the law it induces.
 
     ``gap = optimal value - achieved value``; it is nonnegative up to

@@ -5,7 +5,8 @@ and the conditional expectation of continuing; the minimal optimal rule
 stops at the first date where stopping is within tolerance of optimal,
 the maximal one only where stopping is strictly better.  A brute-force
 enumerator over all canonical rules serves as the validation oracle on
-small trees.
+small trees; it values each rule with ``evaluate_J``, by path
+enumeration, so it shares no code with the backward induction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from ._expect import stop_reward_layers
 from .lattice import AdaptedMeasure, LatticeModel
-from .trees import InfoTree, StoppingRule, count_rules, enumerate_rules
+from .payoffs import evaluate_J
+from .trees import InfoTree, StoppingRule, enumerate_rules
 
 TIE_TOL = 1e-9
 
@@ -86,40 +88,6 @@ class BruteForceResult:
     rules_searched: int
 
 
-def _reward_table(payoff, mu: AdaptedMeasure, lat: LatticeModel):
-    """R[b, w?, k] = payoff of stopping at date k on that joint path."""
-    bvals, wvals, grid = lat.b_values, lat.w_values, lat.grid
-    n = lat.num_paths
-    ev = payoff.evaluate
-    nw = 1 if not payoff.w_dependent else n
-    table = np.empty((n, nw, lat.steps + 1))
-    for b in range(n):
-        m = mu.grid_measure(b)
-        brow = bvals[b]
-        for w in range(nw):
-            wrow = wvals[w]
-            for k in range(lat.steps + 1):
-                table[b, w, k] = ev(brow, wrow, m, float(grid[k]))
-    return table
-
-
-def _rule_value(table: np.ndarray, steps: np.ndarray, n: int) -> float:
-    nb, nw, _ = table.shape
-    if steps.shape[1] == 1:
-        if nw == 1:
-            vals = table[np.arange(nb), 0, steps[:, 0]]
-            return float(vals.mean())
-        vals = table[np.arange(nb)[:, None], np.arange(nw)[None, :],
-                     steps[:, :1]]
-        return float(vals.mean())
-    wide = np.broadcast_to(steps, (n, n))
-    if nw == 1:
-        vals = table[np.arange(n)[:, None], 0, wide]
-    else:
-        vals = table[np.arange(n)[:, None], np.arange(n)[None, :], wide]
-    return float(vals.mean())
-
-
 def brute_force_optimal(payoff, mu: AdaptedMeasure, tree: InfoTree,
                         lat: LatticeModel | None = None, cap: int = 10 ** 7,
                         tol: float = TIE_TOL) -> BruteForceResult:
@@ -131,38 +99,14 @@ def brute_force_optimal(payoff, mu: AdaptedMeasure, tree: InfoTree,
     set are themselves optimal rules).
     """
     lat = lat or tree.lat
-    total = count_rules(tree)
-    if total > cap:
-        raise ValueError(f"enumeration too large: {total} rules exceeds cap {cap}")
-    table = _reward_table(payoff, mu, lat)
-    n = lat.num_paths
-
-    best = -np.inf
-    for rule in enumerate_rules(tree, cap):
-        v = _rule_value(table, rule.stop_steps(), n)
-        if v > best:
-            best = v
-
-    min_steps = None
-    max_steps = None
-    searched = 0
-    for rule in enumerate_rules(tree, cap):
-        searched += 1
-        steps = rule.stop_steps()
-        if _rule_value(table, steps, n) >= best - tol:
-            if min_steps is None:
-                min_steps = steps.copy()
-                max_steps = steps.copy()
-            else:
-                shape = np.broadcast_shapes(min_steps.shape, steps.shape)
-                min_steps = np.minimum(np.broadcast_to(min_steps, shape),
-                                       np.broadcast_to(steps, shape))
-                max_steps = np.maximum(np.broadcast_to(max_steps, shape),
-                                       np.broadcast_to(steps, shape))
-    rule_min = StoppingRule.from_times(tree, min_steps)
-    rule_max = StoppingRule.from_times(tree, max_steps)
-    for extreme in (rule_min, rule_max):
-        v = _rule_value(table, extreme.stop_steps(), n)
-        if v < best - 10 * tol:
-            raise AssertionError("tie set is not a lattice: extreme rule suboptimal")
-    return BruteForceResult(best, rule_min, rule_max, searched)
+    rules = list(enumerate_rules(tree, cap))  # raises past the cap
+    value = {rule.key(): evaluate_J(payoff, mu, rule, lat) for rule in rules}
+    best = max(value.values())
+    tied = np.stack([rule.stop_steps() for rule in rules
+                     if value[rule.key()] >= best - tol])
+    rule_min = StoppingRule.from_times(tree, tied.min(axis=0))
+    rule_max = StoppingRule.from_times(tree, tied.max(axis=0))
+    # every canonical rule was enumerated, the extremes included
+    if min(value[rule_min.key()], value[rule_max.key()]) < best - 10 * tol:
+        raise AssertionError("tie set is not a lattice: extreme rule suboptimal")
+    return BruteForceResult(best, rule_min, rule_max, len(rules))

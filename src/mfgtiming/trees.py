@@ -116,26 +116,6 @@ class InfoTree:
         self._prefix_cache[k] = local
         return local
 
-    def posterior(self, k: int, local: int):
-        """Exact posterior over joint k-step prefixes at a node.
-
-        Returns ``(b_prefixes, w_prefixes, probs)``; the prior is uniform
-        over all 4**k joint prefixes, so the posterior is uniform over
-        the prefixes consistent with the node.
-        """
-        nodes = self.prefix_nodes(k)
-        n = 1 << k
-        if nodes.shape[1] == 1:
-            b_hit = np.nonzero(nodes[:, 0] == local)[0]
-            b_pre = np.repeat(b_hit, n)
-            w_pre = np.tile(np.arange(n, dtype=np.int64), len(b_hit))
-        else:
-            b_pre, w_pre = np.nonzero(nodes == local)
-        if len(b_pre) == 0:
-            raise ValueError(f"no prefixes reach node {local} at step {k}")
-        probs = np.full(len(b_pre), 1.0 / len(b_pre))
-        return b_pre, w_pre, probs
-
 
 class PublicTree(InfoTree):
     """Perfect observation of the common path only."""

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mfgtiming as m
+from mfgtiming._expect import layer_atoms
 
 
 def report(num, ok, detail):
@@ -326,20 +327,20 @@ def test_acceptance_7_filtering():
     assert np.array_equal(res_pub.rule_max.stop_steps(),
                           res_sig.rule_max.stop_steps())
 
-    # posterior rows sum to one
+    # posterior rows sum to one: a node's posterior is its w-dependent atoms
     lat3 = m.build_lattice(3, 0.5, 3.0, 1.0, 1.0)
     sig = m.build_signal_tree(lat3, m.SignalModel(1.0))
     worst_row = 0.0
     for k in range(lat3.steps + 1):
+        node, _, _, probs = layer_atoms(sig, k, True)
         for local in range(sig.layer_sizes[k]):
-            _, _, probs = sig.posterior(k, local)
-            worst_row = max(worst_row, abs(float(probs.sum()) - 1.0))
+            worst_row = max(worst_row, abs(float(probs[node == local].sum()) - 1.0))
     assert worst_row <= 1e-12
 
     # the ambiguous one-step posterior is exactly (1/2, 1/2)
     mid = sig.symbols.index(0.0)
-    _, _, probs = sig.posterior(1, mid)
-    assert probs.tolist() == [0.5, 0.5]
+    node, _, _, probs = layer_atoms(sig, 1, True)
+    assert probs[node == mid].tolist() == [0.5, 0.5]
     report(7, True, f"sigma=0 equals public exactly; posterior row error "
                     f"{worst_row:.1e}; ambiguous one-step posterior (0.5, 0.5)")
 

@@ -1,0 +1,67 @@
+"""The benchmark's tracer must find every package function it wraps.
+
+``perfbench/tracer.py`` wraps package functions at the module bindings
+where their callers look them up.  A binding that a refactor removes or
+renames drops the metrics that read it, so a traced benchmark run would
+report fewer per-layer metrics than it declares.  This test installs the
+tracer in a fresh process (it rebinds module attributes, so it must not
+run inside the test process), runs one small config of every task kind
+the benchmark uses, and requires every binding and every metric.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+import mfgtiming
+from tracer import METRICS, Tracer
+
+configs, out = json.loads(sys.argv[1]), sys.argv[2]
+tracer = Tracer(mfgtiming, configs[0]["task"]["kind"])
+tracer.install()
+for config in configs:
+    mfgtiming.validate_config(config)
+    record = mfgtiming.run(config)
+    mfgtiming.write_output(record, out, "json")
+    mfgtiming.payload_bytes(record)
+metrics = tracer.metrics()
+print(json.dumps({"missing": tracer.missing,
+                  "absent": sorted(set(METRICS) - set(metrics))}))
+"""
+
+
+def config(task, info="public"):
+    return {
+        "lattice": {"steps": 3, "dt": 0.5, "b0": 3.0, "db": 1.0, "dw": 1.0},
+        "payoff": {"kind": "bankrun", "rbar": 0.1, "r": 0.0, "d0": 1.0,
+                   "liquidation": {"preset": "linear", "a": 0.5, "c": 0.0}},
+        "info": {"kind": info, "sigma": 1.0} if info == "signal" else {"kind": info},
+        "seed": 5,
+        "task": task,
+    }
+
+
+def test_tracer_finds_every_binding_and_metric(tmp_path):
+    configs = [
+        config({"kind": "solve-mfe"}),
+        config({"kind": "check", "trials": 5, "submartingale_pairs": 1}),
+        config({"kind": "eps-nash", "n_list": [2, 4], "method": "exact"}, "signal"),
+        config({"kind": "eps-nash", "n_list": [2], "method": "monte-carlo",
+                "samples": 20}),
+        config({"kind": "converge", "n_list": [2, 4], "samples": 20}, "signal"),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(configs), str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["missing"] == []
+    assert got["absent"] == []

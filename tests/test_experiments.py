@@ -139,6 +139,33 @@ def test_cli_invalid_config_exit_code(tmp_path):
     assert cli_main(["solve-mfe", "--config", str(cfg_path)]) == 2
 
 
+def _cli_rejects(tmp_path, capsys, cfg, *expect):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main([cfg["task"]["kind"], "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    for text in expect:
+        assert text in err
+
+
+def test_cli_bankrun_without_rbar_names_path(tmp_path, capsys):
+    cfg = base_config()
+    del cfg["payoff"]["rbar"]
+    _cli_rejects(tmp_path, capsys, cfg, "$.payoff:", "'rbar'")
+
+
+def test_cli_task_key_typo_names_path(tmp_path, capsys):
+    cfg = base_config(task={"kind": "converge", "n_list": [2], "samples": 5,
+                            "sample": 5})
+    _cli_rejects(tmp_path, capsys, cfg, "$.task:", "'sample'")
+
+
+def test_cli_unknown_liquidation_field_names_path(tmp_path, capsys):
+    cfg = base_config()
+    cfg["payoff"]["liquidation"]["slope"] = 2.0
+    _cli_rejects(tmp_path, capsys, cfg, "$.payoff.liquidation:", "'slope'")
+
+
 def test_cli_missing_file_exit_code():
     assert cli_main(["solve-mfe", "--config", "/no/such/file.json"]) == 2
 

@@ -148,6 +148,44 @@ def test_oracle_equivalence_full_tree_w_dependent():
     assert np.array_equal(sol.rule_max.stop_steps(), res.rule_max.stop_steps())
 
 
+def _assert_oracle_agrees(F, tree, lat, rng):
+    mu = m.conditional_law(m.random_rule(tree, rng))
+    sol = m.snell_solve(F, mu, tree, lat)
+    res = m.brute_force_optimal(F, mu, tree, lat)
+    assert abs(sol.value - res.value) <= 1e-9
+    assert np.array_equal(sol.rule_min.stop_steps(), res.rule_min.stop_steps())
+    assert np.array_equal(sol.rule_max.stop_steps(), res.rule_max.stop_steps())
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+def test_oracle_equivalence_signal_tree(sigma):
+    rng = np.random.default_rng(41)
+    for K in (1, 2):
+        lat = m.build_lattice(K, 0.5, 0.0, 1.0, 1.0)
+        tree = m.build_signal_tree(lat, m.SignalModel(sigma))
+        table = rng.normal(0.0, 1.0, size=(2 * K + 1, 2 * K + 1, K + 1))
+        coef = float(rng.uniform(-1.0, 1.0))
+
+        def ev(b, w, mm, t, lat=lat, table=table, coef=coef, K=K):
+            k = lat.time_index(t)
+            return float(table[int(b[k]) + K, int(w[k]) + K, k]) + coef * mm.mass_before(t)
+
+        F = m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
+                         bound=10.0, w_dependent=True)
+        for _ in range(3):
+            _assert_oracle_agrees(F, tree, lat, rng)
+
+
+def test_oracle_equivalence_full_tree_w_independent_bankrun():
+    lat = m.build_lattice(2, 0.5, 3.0, 1.0, 1.0)
+    p = m.BankRunParams(rbar=0.1, r=0.0, liquidation=lambda x: max(0.5 * x, 0.0))
+    F = m.bankrun_payoff(p, lat)
+    assert not F.w_dependent
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        _assert_oracle_agrees(F, m.full_tree(lat), lat, rng)
+
+
 def test_monotone_selection_under_complementarity():
     # kernel passing the drift check => both extremal rules move up with
     # the crowd (the strong-set-order consequence of complementarity)

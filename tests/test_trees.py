@@ -2,6 +2,15 @@ import numpy as np
 import pytest
 
 import mfgtiming as m
+from mfgtiming._expect import layer_atoms
+
+
+def posterior(tree, k, local):
+    """Posterior over joint k-step prefixes at one node: the node's
+    w-dependent atoms, as ``(b_prefixes, w_prefixes, probs)``."""
+    node, b_pre, w_pre, probs = layer_atoms(tree, k, True)
+    at = node == local
+    return b_pre[at], w_pre[at], probs[at]
 
 
 @pytest.fixture
@@ -135,7 +144,7 @@ def test_posterior_rows_sum_to_one():
     sig = m.build_signal_tree(lat, m.SignalModel(1.0))
     for k in range(lat.steps + 1):
         for local in range(sig.layer_sizes[k]):
-            _, _, probs = sig.posterior(k, local)
+            _, _, probs = posterior(sig, k, local)
             assert abs(probs.sum() - 1.0) < 1e-12
 
 
@@ -143,7 +152,7 @@ def test_posterior_one_step_ambiguous():
     lat = m.build_lattice(2, 0.5, 3.0, 1.0, 1.0)
     sig = m.build_signal_tree(lat, m.SignalModel(1.0))
     mid = sig.symbols.index(0.0)
-    b_pre, w_pre, probs = sig.posterior(1, mid)
+    b_pre, w_pre, probs = posterior(sig, 1, mid)
     assert sorted(zip(b_pre.tolist(), w_pre.tolist())) == [(0, 1), (1, 0)]
     assert probs.tolist() == [0.5, 0.5]
 
@@ -153,7 +162,7 @@ def test_posterior_two_step_matches_direct_bayes():
     sig = m.build_signal_tree(lat, m.SignalModel(1.0))
     mid, up = sig.symbols.index(0.0), sig.symbols.index(2.0)
     local = mid + up * sig.num_symbols
-    b_pre, w_pre, probs = sig.posterior(2, local)
+    b_pre, w_pre, probs = posterior(sig, 2, local)
     # direct enumeration over all 16 joint two-step prefixes
     expect = []
     for b in range(4):
@@ -168,7 +177,7 @@ def test_posterior_two_step_matches_direct_bayes():
 def test_posterior_sigma_zero_degenerate_on_common_prefix():
     lat = m.build_lattice(2, 0.5, 3.0, 1.0, 1.0)
     sig = m.build_signal_tree(lat, m.SignalModel(0.0))
-    b_pre, w_pre, probs = sig.posterior(2, 3)
+    b_pre, w_pre, probs = posterior(sig, 2, 3)
     assert set(b_pre.tolist()) == {3}
     assert sorted(w_pre.tolist()) == [0, 1, 2, 3]
     assert np.allclose(probs, 0.25)
