@@ -77,7 +77,7 @@ def stop_reward_layers(payoff, mu: AdaptedMeasure, tree: InfoTree) -> list[np.nd
     so keep w-dependent payoffs and joint trees to small lattices.
     """
     lat = tree.lat
-    bvals, wvals, grid = lat.b_values, lat.w_values, lat.grid
+    bvals, wvals = lat.b_values, lat.w_values
     need_b, need_w = _suffix_needs(payoff)
     if (need_b or need_w) and lat.steps > SUFFIX_WARN_STEPS:
         warnings.warn(
@@ -86,7 +86,6 @@ def stop_reward_layers(payoff, mu: AdaptedMeasure, tree: InfoTree) -> list[np.nd
     ev = payoff.evaluate
     layers = []
     for k in range(lat.steps + 1):
-        t = float(grid[k])
         shift = lat.steps - k
         b_ext = (np.arange(1 << shift, dtype=np.int64) << k) if (need_b and shift) \
             else np.zeros(1, dtype=np.int64)
@@ -102,7 +101,7 @@ def stop_reward_layers(payoff, mu: AdaptedMeasure, tree: InfoTree) -> list[np.nd
                 m = mu.grid_measure(bid)
                 brow = bvals[bid]
                 for we in w_ext:
-                    acc += ev(brow, wvals[int(wp + we)], m, t)
+                    acc += ev(brow, wvals[int(wp + we)], m, k)
             reward[node] += wt * inv * acc
         layers.append(reward)
     return layers

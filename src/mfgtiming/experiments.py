@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._rng import STREAM_CHECK, derive_rng
-from .lattice import AdaptedMeasure, LatticeModel, build_lattice
+from .lattice import HARD_STEP_CAP, AdaptedMeasure, LatticeModel, build_lattice
 from .mfe import (EquilibriumResult, IterationResult, public_info_equilibrium,
                   solve_mfe, verify_mfe)
 from .nplayer import Exact, MonteCarlo, convergence_experiment, estimate_epsilon
@@ -33,6 +33,17 @@ from .payoffs import (BankRunParams, CrowdDiscountParams,
                       sample_ordered_measures)
 from .trees import (InfoTree, SignalModel, StoppingRule, build_signal_tree,
                     conditional_law, full_tree, public_tree)
+
+_NUMBER = {"type": "number"}
+
+
+def _payoff_kind(kind: str, required: tuple = (), **fields) -> dict:
+    """Schema branch of one payoff kind: its required keys, and no key
+    besides ``kind`` and its own fields."""
+    return {"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+            "then": {"required": list(required), "additionalProperties": False,
+                     "properties": {"kind": {}, **fields}}}
+
 
 CONFIG_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -59,20 +70,19 @@ CONFIG_SCHEMA: dict = {
             "properties": {
                 "kind": {"enum": ["bankrun", "crowd_discount", "diffusion",
                                   "constant", "crowd_fraction"]},
-                "liquidation": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"preset": {"type": "string"},
-                                   "a": {"type": "number"},
-                                   "c": {"type": "number"}},
-                },
             },
             "allOf": [
-                {"if": {"required": ["kind"], "properties": {"kind": {"const": "bankrun"}}},
-                 "then": {"required": ["rbar", "r"]}},
-                {"if": {"required": ["kind"],
-                        "properties": {"kind": {"const": "crowd_discount"}}},
-                 "then": {"required": ["r", "c"]}},
+                _payoff_kind("bankrun", ("rbar", "r"), rbar=_NUMBER, r=_NUMBER,
+                             d0=_NUMBER, liquidation={
+                                 "type": "object", "additionalProperties": False,
+                                 "properties": {"preset": {"type": "string"},
+                                                "a": _NUMBER, "c": _NUMBER}}),
+                _payoff_kind("crowd_discount", ("r", "c"), r=_NUMBER, c=_NUMBER),
+                _payoff_kind("diffusion", f={"type": "string"}, f_bound=_NUMBER, phi={
+                    "type": "object", "additionalProperties": False,
+                    "properties": {"preset": {"type": "string"}, "scale": _NUMBER}}),
+                _payoff_kind("constant", value=_NUMBER),
+                _payoff_kind("crowd_fraction"),
             ],
         },
         "info": {
@@ -230,7 +240,7 @@ def build_tree(config: dict, lat: LatticeModel) -> InfoTree:
 def build_lattice_from(config: dict) -> LatticeModel:
     cfg = config["lattice"]
     return build_lattice(cfg["steps"], cfg["dt"], cfg["b0"], cfg["db"],
-                         cfg["dw"], max_steps=cfg.get("max_steps", 14))
+                         cfg["dw"], max_steps=cfg.get("max_steps", HARD_STEP_CAP))
 
 
 # ---------------------------------------------------------------------------

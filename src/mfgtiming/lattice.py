@@ -91,7 +91,8 @@ class LatticeModel:
         return self.path_values(self.w0, self.dw)
 
     def time_index(self, t: float) -> int:
-        """Grid index of a date; raises if the date is off the grid."""
+        """Grid index of a float date from outside the engine; raises if the
+        date is off the grid."""
         k = int(round(t / self.dt))
         if k < 0 or k > self.steps or abs(t - k * self.dt) > 1e-9 * max(self.dt, 1.0):
             raise ValueError(f"time not on grid: {t!r}")
@@ -128,25 +129,20 @@ def build_lattice(steps: int, dt: float, b0: float, db: float, dw: float,
 
 
 class GridMeasure:
-    """Probability measure on the grid dates, stored as a mass vector."""
+    """Probability measure on the grid dates, a mass vector read by grid index."""
 
-    __slots__ = ("times", "mass", "_cdf")
+    __slots__ = ("mass", "_cdf")
 
-    def __init__(self, times: np.ndarray, mass: np.ndarray):
-        times = np.asarray(times, dtype=float)
+    def __init__(self, mass: np.ndarray):
         mass = np.asarray(mass, dtype=float)
-        if times.shape != mass.shape:
-            raise ValueError("times and mass must have equal length")
         if np.any(mass < 0):
             raise ValueError("mass must be nonnegative")
         total = float(mass.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mass must sum to 1, got {total!r}")
         cdf = np.cumsum(mass)
-        times.setflags(write=False)
         mass.setflags(write=False)
         cdf.setflags(write=False)
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "_cdf", cdf)
 
@@ -157,32 +153,23 @@ class GridMeasure:
     def cdf(self) -> np.ndarray:
         return self._cdf
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 1.0
-
-    def index_of(self, t: float) -> int:
-        k = int(round(t / self.dt))
-        if k < 0 or k >= len(self.times) or abs(t - self.times[k]) > 1e-9 * max(self.dt, 1.0):
-            raise ValueError(f"time not on grid: {t!r}")
-        return k
-
-    def mass_before(self, t: float) -> float:
-        """Mass of [0, t): everything strictly before ``t``."""
-        k = self.index_of(t)
+    def mass_before(self, k: int) -> float:
+        """Mass of [t_0, t_k): everything strictly before date ``k``."""
+        if not 0 <= k < len(self._cdf):
+            raise ValueError(f"grid index out of range: {k!r}")
         return float(self._cdf[k - 1]) if k > 0 else 0.0
 
-    def mass_upto(self, t: float) -> float:
-        """Mass of [0, t], the closed-interval read."""
-        return float(self._cdf[self.index_of(t)])
+    def mass_upto(self, k: int) -> float:
+        """Mass of [t_0, t_k], the closed-interval read."""
+        if not 0 <= k < len(self._cdf):
+            raise ValueError(f"grid index out of range: {k!r}")
+        return float(self._cdf[k])
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, GridMeasure)
-                and np.array_equal(self.times, other.times)
-                and np.array_equal(self.mass, other.mass))
+        return isinstance(other, GridMeasure) and np.array_equal(self.mass, other.mass)
 
     def __repr__(self) -> str:
-        nz = {float(t): float(m) for t, m in zip(self.times, self.mass) if m > 0}
+        nz = {k: float(x) for k, x in enumerate(self.mass) if x > 0}
         return f"GridMeasure({nz})"
 
 
@@ -190,32 +177,26 @@ def point_mass(lat: LatticeModel, k: int) -> GridMeasure:
     """Dirac measure at grid index ``k``."""
     mass = np.zeros(lat.steps + 1)
     mass[k] = 1.0
-    return GridMeasure(lat.grid, mass)
+    return GridMeasure(mass)
 
 
 def empirical_measure(times: Iterable[float], lat: LatticeModel) -> GridMeasure:
-    """Empirical distribution of a sequence of grid dates."""
-    times = list(times)
-    if not times:
-        raise ValueError("empirical_measure needs at least one time")
-    mass = np.zeros(lat.steps + 1)
-    for t in times:
-        mass[lat.time_index(t)] += 1.0
-    return GridMeasure(lat.grid, mass / len(times))
+    """Empirical distribution of a sequence of float grid dates."""
+    return empirical_measure_from_steps([lat.time_index(t) for t in times], lat)
 
 
 def empirical_measure_from_steps(steps: np.ndarray, lat: LatticeModel) -> GridMeasure:
-    """Same as :func:`empirical_measure` but from integer grid indices."""
+    """Empirical distribution of a sequence of grid indices."""
     steps = np.asarray(steps)
     if steps.size == 0:
         raise ValueError("empirical_measure needs at least one time")
     mass = np.bincount(steps.ravel(), minlength=lat.steps + 1).astype(float)
-    return GridMeasure(lat.grid, mass / steps.size)
+    return GridMeasure(mass / steps.size)
 
 
 def cdf_uniform_distance(m: GridMeasure, m0: GridMeasure) -> float:
     """Kolmogorov distance: sup over grid dates of |CDF difference|."""
-    if not np.array_equal(m.times, m0.times):
+    if len(m.mass) != len(m0.mass):
         raise ValueError("grid mismatch")
     return float(np.max(np.abs(m.cdf - m0.cdf)))
 
@@ -265,7 +246,7 @@ class AdaptedMeasure:
             mass = np.empty_like(c)
             mass[0] = c[0]
             mass[1:] = np.diff(c)
-            row = GridMeasure(self.lat.grid, mass)
+            row = GridMeasure(mass)
             self._rows[b_id] = row  # idempotent write, safe under races
         return row
 

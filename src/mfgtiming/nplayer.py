@@ -98,7 +98,7 @@ def _mass_before_measure(lat: LatticeModel, x: float) -> GridMeasure:
     mass = np.zeros(lat.steps + 1)
     mass[0] = x
     mass[-1] += 1.0 - x
-    return GridMeasure(lat.grid, mass)
+    return GridMeasure(mass)
 
 
 def _field_payoff_cdf(payoff: PayoffSpec, law: AdaptedMeasure, n: int,
@@ -120,14 +120,13 @@ def _field_payoff_cdf(payoff: PayoffSpec, law: AdaptedMeasure, n: int,
             cache[j] = m
         return m
 
-    def evaluate(b, w, m, t):
-        k = lat.time_index(t)
+    def evaluate(b, w, m, k):
         bid = lat.path_id_from_values(b)
         q = float(cdf[bid, k - 1]) if k > 0 else 0.0
         js, ws = _binomial_weights(n - 1, q)
         acc = 0.0
         for j, pj in zip(js, ws):
-            acc += pj * payoff.evaluate(b, w, crowd_measure(int(j)), t)
+            acc += pj * payoff.evaluate(b, w, crowd_measure(int(j)), k)
         return acc
 
     return PayoffSpec(evaluate, MeasureMode.CDF_AT_T, PathMode.PREFIX_TO_T,
@@ -172,16 +171,15 @@ def _field_payoff_general(payoff: PayoffSpec, law: AdaptedMeasure, n: int,
             msets[bid] = got
         return got
 
-    def evaluate(b, w, m, t):
+    def evaluate(b, w, m, k):
         bid = lat.path_id_from_values(b)
-        k = lat.time_index(t)
         acc = 0.0
         for counts, prob in others(bid):
             if prob == 0.0:
                 continue
             full = counts.astype(float)
             full[k] += 1.0
-            acc += prob * payoff.evaluate(b, w, GridMeasure(lat.grid, full / n), t)
+            acc += prob * payoff.evaluate(b, w, GridMeasure(full / n), k)
         return acc
 
     return PayoffSpec(evaluate, MeasureMode.GENERAL, payoff.path_mode,
@@ -219,7 +217,7 @@ def _mc_profile_value(payoff: PayoffSpec, prof: NPlayerProfile,
     steps = prof.rule.stop_steps()
     dev_steps = deviator_rule.stop_steps() if deviator_rule is not None else steps
     npaths = lat.num_paths
-    bvals, wvals, grid = lat.b_values, lat.w_values, lat.grid
+    bvals, wvals = lat.b_values, lat.w_values
     vals = np.empty(mc.samples)
     for s in range(mc.samples):
         rng = derive_rng(mc.seed, stream, prof.n, s)
@@ -229,8 +227,8 @@ def _mc_profile_value(payoff: PayoffSpec, prof: NPlayerProfile,
         rest = _steps_row(steps, b, wids[1:])
         counts = np.bincount(rest, minlength=lat.steps + 1).astype(float)
         counts[own] += 1.0
-        m = GridMeasure(lat.grid, counts / prof.n)
-        vals[s] = payoff.evaluate(bvals[b], wvals[int(wids[0])], m, float(grid[own]))
+        m = GridMeasure(counts / prof.n)
+        vals[s] = payoff.evaluate(bvals[b], wvals[int(wids[0])], m, own)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(mc.samples)) if mc.samples > 1 else 0.0
     return mean, se
@@ -257,15 +255,14 @@ def _mc_plan_payoff(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
             batches[bid] = got
         return got
 
-    def evaluate(b, w, m, t):
+    def evaluate(b, w, m, k):
         bid = lat.path_id_from_values(b)
-        k = lat.time_index(t)
         acc = 0.0
         draws = batch(bid)
         for counts in draws:
             full = counts.copy()
             full[k] += 1.0
-            acc += payoff.evaluate(b, w, GridMeasure(lat.grid, full / prof.n), t)
+            acc += payoff.evaluate(b, w, GridMeasure(full / prof.n), k)
         return acc / len(draws)
 
     return PayoffSpec(evaluate, MeasureMode.GENERAL, payoff.path_mode,

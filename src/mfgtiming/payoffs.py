@@ -1,15 +1,18 @@
 """Objective functions and numerical complementarity checks.
 
 A payoff maps ``(common path values, idiosyncratic path values, crowd
-measure, date) -> reward``.  Capability flags describe how it reads its
-arguments so the solvers can collapse the averaging they do not need:
+measure, date) -> reward`` and is called as ``evaluate(b_row, w_row, m,
+k)``: the date is its grid index ``k``, a Python ``int`` in ``0..K``, and
+the crowd ``m`` is a :class:`GridMeasure`, read by index too.
+Capability flags describe how it reads its arguments so the solvers can
+collapse the averaging they do not need:
 
 * ``measure_mode``   -- how the crowd measure enters (mass strictly
   before the date, a kernel convolution, or arbitrarily),
 * ``path_mode``      -- spot values at the date, the prefix up to it,
   or the whole path,
 * ``w_dependent``    -- whether the idiosyncratic path matters at all,
-* ``measure_past_only`` -- the measure is only read at dates <= t, so
+* ``measure_past_only`` -- the measure is only read at dates <= t_k, so
   node-conditional expectations need no future-path averaging.
 
 Evaluators must be pure; everything here is safe to call concurrently.
@@ -49,7 +52,7 @@ class PathMode(enum.Enum):
 class PayoffSpec:
     """A pluggable objective with declared capabilities and bound."""
 
-    evaluate: Callable[[np.ndarray, np.ndarray, GridMeasure, float], float]
+    evaluate: Callable[[np.ndarray, np.ndarray, GridMeasure, int], float]
     measure_mode: MeasureMode
     path_mode: PathMode
     bound: float
@@ -99,14 +102,14 @@ def bankrun_payoff(p: BankRunParams, lat: LatticeModel,
     """
     rho = p.rbar - p.r
     liq, d0 = p.liquidation, p.d0
+    growth = [math.exp(rho * t) for t in lat.grid.tolist()]
 
-    def evaluate(b, w, m, t):
-        crowd = m.mass_upto(t) if closed_interval else m.mass_before(t)
-        k = lat.time_index(t)
+    def evaluate(b, w, m, k):
+        crowd = m.mass_upto(k) if closed_interval else m.mass_before(k)
         claim = liq(b[k]) - crowd
         if claim < 0.0:
             claim = 0.0
-        return math.exp(rho * t) * (d0 if claim > d0 else claim)
+        return growth[k] * (d0 if claim > d0 else claim)
 
     mode = MeasureMode.GENERAL if closed_interval else MeasureMode.CDF_AT_T
     return PayoffSpec(evaluate, mode, PathMode.SPOT_AT_T,
@@ -134,16 +137,14 @@ def crowd_discount_payoff(p: CrowdDiscountParams, lat: LatticeModel) -> PayoffSp
     Values are clamped at the declared bound (with a warning) as an
     overflow guard.
     """
-    dt, grid = lat.dt, lat.grid
+    dt = lat.dt
     max_rate = p.r + abs(lat.b0) + lat.steps * lat.db + lat.steps * lat.dw
     bound = math.exp(max(max_rate, 0.0) * lat.horizon)
 
-    def evaluate(b, w, m, t):
-        k = lat.time_index(t)
+    def evaluate(b, w, m, k):
         if k == 0:
             return 1.0
-        crowd = np.array([m.mass_upto(grid[j]) for j in range(k)])
-        acc = dt * float(np.sum(p.r - b[:k] - w[:k] - p.c * crowd))
+        acc = dt * float(np.sum(p.r - b[:k] - w[:k] - p.c * m.cdf[:k]))
         val = math.exp(acc)
         if val > bound:
             warnings.warn("crowd_discount value clamped at declared bound")
@@ -175,18 +176,18 @@ def diffusion_payoff(p: DiffusionPayoffParams, lat: LatticeModel) -> PayoffSpec:
                       for k in range(K + 1)])
     if not np.all(np.isfinite(table)):
         raise ValueError("kernel must be finite on all grid offsets")
+    times = lat.grid.tolist()
 
-    def evaluate(b, w, m, t):
-        k = lat.time_index(t)
+    def evaluate(b, w, m, k):
         conv = float(table[k] @ m.mass)
-        return p.f(float(b[k]), conv, t)
+        return p.f(float(b[k]), conv, times[k])
 
     return PayoffSpec(evaluate, MeasureMode.CONVOLUTION, PathMode.SPOT_AT_T,
                       bound=p.f_bound, w_dependent=False, label="diffusion")
 
 
 def constant_payoff(c: float, lat: LatticeModel) -> PayoffSpec:
-    return PayoffSpec(lambda b, w, m, t: c, MeasureMode.CDF_AT_T,
+    return PayoffSpec(lambda b, w, m, k: c, MeasureMode.CDF_AT_T,
                       PathMode.SPOT_AT_T, bound=max(abs(c), 1.0),
                       w_dependent=False, label=f"constant({c})")
 
@@ -197,7 +198,7 @@ def crowd_fraction_payoff(lat: LatticeModel) -> PayoffSpec:
     The canonical payoff that cannot have increasing differences unless
     constant; used as the negative control for the checkers.
     """
-    return PayoffSpec(lambda b, w, m, t: m.mass_before(t),
+    return PayoffSpec(lambda b, w, m, k: m.mass_before(k),
                       MeasureMode.CDF_AT_T, PathMode.SPOT_AT_T, bound=1.0,
                       w_dependent=False, label="crowd_fraction")
 
@@ -218,29 +219,27 @@ def evaluate_J(payoff: PayoffSpec, mu: AdaptedMeasure, rule: StoppingRule,
     if rule.tree.lat != lat or mu.lat != lat:
         raise ValueError("lattice mismatch")
     steps = rule.stop_steps()
-    bvals, wvals, grid = lat.b_values, lat.w_values, lat.grid
+    bvals, wvals = lat.b_values, lat.w_values
     n = lat.num_paths
     ev = payoff.evaluate
     total = 0.0
     if not payoff.w_dependent:
         if steps.shape[1] == 1:
-            for b in range(n):
-                m = mu.grid_measure(b)
-                total += ev(bvals[b], wvals[0], m, float(grid[steps[b, 0]]))
+            for b, k in enumerate(steps[:, 0].tolist()):
+                total += ev(bvals[b], wvals[0], mu.grid_measure(b), k)
             return float(total / n)
         for b in range(n):
             counts = np.bincount(steps[b], minlength=lat.steps + 1)
             m = mu.grid_measure(b)
-            for k in np.nonzero(counts)[0]:
-                total += int(counts[k]) * ev(bvals[b], wvals[0], m, float(grid[k]))
+            for k in np.nonzero(counts)[0].tolist():
+                total += int(counts[k]) * ev(bvals[b], wvals[0], m, k)
         return float(total / (n * n))
     wide = np.broadcast_to(steps, (n, n))
     for b in range(n):
         m = mu.grid_measure(b)
         brow = bvals[b]
-        row = wide[b]
-        for w in range(n):
-            total += ev(brow, wvals[w], m, float(grid[row[w]]))
+        for w, k in enumerate(wide[b].tolist()):
+            total += ev(brow, wvals[w], m, k)
     return float(total / (n * n))
 
 

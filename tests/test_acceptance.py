@@ -99,10 +99,9 @@ def test_acceptance_2_oracle_equivalence():
         table = rng.normal(0.0, 1.0, size=(2 * K + 1, K + 1))
         coef = float(rng.uniform(-1.0, 1.0))
 
-        def ev(b, w, mm, t, lat=lat, table=table, coef=coef, K=K):
-            k = lat.time_index(t)
+        def ev(b, w, mm, k, lat=lat, table=table, coef=coef, K=K):
             i = int(round((b[k] - lat.b0) / lat.db)) + K
-            return float(table[i, k]) + coef * mm.mass_before(t)
+            return float(table[i, k]) + coef * mm.mass_before(k)
 
         payoff = m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
                               bound=float(np.abs(table).max() + 1.0),
@@ -137,7 +136,7 @@ def _battery():
     bank10 = m.bankrun_payoff(m.BankRunParams(0.05, 0.0, half_liq), lat10)
     bank5 = m.bankrun_payoff(m.BankRunParams(0.1, 0.0, half_liq), lat5)
     conc = m.PayoffSpec(
-        lambda b, w, mm, t, lat=lat4: -(float(b[lat.time_index(t)]) - 4.2) ** 2,
+        lambda b, w, mm, k: -(float(b[k]) - 4.2) ** 2,
         m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T, bound=60.0,
         w_dependent=False)
     diff4 = m.diffusion_payoff(m.DiffusionPayoffParams(
@@ -274,7 +273,7 @@ def test_acceptance_5_eps_nash_convergence():
 def test_acceptance_6_zero_gap_controls():
     lat = m.build_lattice(4, 0.5, 3.0, 1.0, 1.0)
     tree = m.public_tree(lat)
-    spot = m.PayoffSpec(lambda b, w, mm, t: float(b[lat.time_index(t)]) ** 2,
+    spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) ** 2,
                         m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
                         bound=60.0, w_dependent=False)
     res = m.solve_mfe(spot, tree, lat)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +168,18 @@ def test_cli_unknown_liquidation_field_names_path(tmp_path, capsys):
     _cli_rejects(tmp_path, capsys, cfg, "$.payoff.liquidation:", "'slope'")
 
 
+def test_cli_unknown_bankrun_key_names_path(tmp_path, capsys):
+    cfg = base_config()
+    cfg["payoff"]["d_0"] = 2.0
+    _cli_rejects(tmp_path, capsys, cfg, "$.payoff:", "'d_0'")
+
+
+def test_cli_unknown_diffusion_phi_key_names_path(tmp_path, capsys):
+    cfg = base_config(payoff={"kind": "diffusion", "f": "identity_y",
+                              "phi": {"preset": "relu", "scael": 2.0}})
+    _cli_rejects(tmp_path, capsys, cfg, "$.payoff.phi:", "'scael'")
+
+
 def test_cli_missing_file_exit_code():
     assert cli_main(["solve-mfe", "--config", "/no/such/file.json"]) == 2
 
@@ -174,10 +188,12 @@ def test_cli_entry_point_subprocess(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(task={"kind": "check", "trials": 5},
                                                payoff={"kind": "constant"})))
+    # the child imports the package from where this process found it
+    env = dict(os.environ, PYTHONPATH=str(Path(m.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "mfgtiming.cli", "check", "--config", str(cfg_path),
          "--format", "csv"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "passed,trials,lhs,rhs"
 

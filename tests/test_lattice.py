@@ -79,9 +79,20 @@ def test_empirical_measure_errors():
 def test_grid_measure_half_open_vs_closed():
     lat = m.build_lattice(2, 1.0, 0.0, 1.0, 1.0)
     gm = m.empirical_measure([0.0, 1.0], lat)
-    assert gm.mass_before(0.0) == 0.0
-    assert gm.mass_before(1.0) == 0.5
-    assert gm.mass_upto(1.0) == 1.0
+    assert gm.mass_before(0) == 0.0
+    assert gm.mass_before(1) == 0.5
+    assert gm.mass_upto(1) == 1.0
+
+
+def test_grid_measure_index_out_of_range():
+    lat = m.build_lattice(2, 1.0, 0.0, 1.0, 1.0)
+    gm = m.point_mass(lat, 1)
+    assert gm.mass_before(lat.steps) == gm.mass_upto(lat.steps) == 1.0
+    # a negative index would otherwise wrap around to the horizon
+    with pytest.raises(ValueError, match="out of range"):
+        gm.mass_upto(-1)
+    with pytest.raises(ValueError, match="out of range"):
+        gm.mass_before(lat.steps + 1)
 
 
 def test_cdf_uniform_distance():

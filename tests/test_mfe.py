@@ -9,9 +9,8 @@ def half_liq(x):
 
 
 def spot_payoff(lat, fn, bound=50.0):
-    def ev(b, w, mm, t):
-        k = lat.time_index(t)
-        return fn(float(b[k]), t)
+    def ev(b, w, mm, k):
+        return fn(float(b[k]), float(lat.grid[k]))
     return m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
                         bound=bound, w_dependent=False)
 

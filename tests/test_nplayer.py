@@ -24,9 +24,8 @@ def enumerate_two_player_value(F, lat, rule_steps, dev_steps=None):
                 mass = np.zeros(lat.steps + 1)
                 mass[t1] += 0.5
                 mass[t2] += 0.5
-                gm = m.GridMeasure(lat.grid, mass)
-                total += F.evaluate(lat.b_values[b], lat.w_values[w1], gm,
-                                    float(lat.grid[t1]))
+                gm = m.GridMeasure(mass)
+                total += F.evaluate(lat.b_values[b], lat.w_values[w1], gm, t1)
     return total / n ** 3
 
 
@@ -55,7 +54,7 @@ def test_constant_payoff_value_every_method(lat):
 
 
 def test_crowd_independent_equals_single_agent(lat):
-    spot = m.PayoffSpec(lambda b, w, mm, t: float(b[lat.time_index(t)]) ** 2,
+    spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) ** 2,
                         m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
                         bound=50.0, w_dependent=False)
     tree = m.public_tree(lat)
@@ -114,7 +113,7 @@ def test_two_player_general_payoff_matches_exhaustion(lat):
 
 
 def test_epsilon_nonnegative_and_zero_for_crowd_independent(lat):
-    spot = m.PayoffSpec(lambda b, w, mm, t: float(b[lat.time_index(t)]) ** 2,
+    spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) ** 2,
                         m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
                         bound=50.0, w_dependent=False)
     tree = m.public_tree(lat)

@@ -25,7 +25,7 @@ def test_bankrun_no_prior_runners_full_claim(lat):
     F = m.bankrun_payoff(p, lat)
     dT = m.point_mass(lat, lat.steps)
     # at t=0 nobody has run yet and L(b0) = 1.5 >= d0
-    assert F.evaluate(lat.b_values[0], lat.w_values[0], dT, 0.0) == 1.0
+    assert F.evaluate(lat.b_values[0], lat.w_values[0], dT, 0) == 1.0
 
 
 def test_bankrun_exhausted_pot(lat):
@@ -34,7 +34,7 @@ def test_bankrun_exhausted_pot(lat):
     d0_measure = m.point_mass(lat, 0)  # everyone already ran
     b_low = lat.path_id_from_values([3.0, 2.0, 1.0, 0.0])
     # L(B_t) = 0.5 <= crowd 1 at t=1: the claim is exhausted
-    assert F.evaluate(lat.b_values[b_low], lat.w_values[0], d0_measure, 1.0) == 0.0
+    assert F.evaluate(lat.b_values[b_low], lat.w_values[0], d0_measure, 2) == 0.0
 
 
 def test_bankrun_interior_claim(lat):
@@ -44,9 +44,9 @@ def test_bankrun_interior_claim(lat):
     b_up = lat.path_id_from_values([3.0, 4.0, 5.0, 6.0])
     # claim = L(4) - 1/2 = 1.5 -> capped at d0; pick a lower path for interior
     b_id = lat.path_id_from_values([3.0, 2.0, 3.0, 4.0])
-    val = F.evaluate(lat.b_values[b_id], lat.w_values[0], half, 0.5)
+    val = F.evaluate(lat.b_values[b_id], lat.w_values[0], half, 1)
     assert val == pytest.approx(math.exp(0.2 * 0.5) * 0.5)
-    val_cap = F.evaluate(lat.b_values[b_up], lat.w_values[0], half, 0.5)
+    val_cap = F.evaluate(lat.b_values[b_up], lat.w_values[0], half, 1)
     assert val_cap == pytest.approx(math.exp(0.2 * 0.5) * 1.0)
 
 
@@ -55,7 +55,7 @@ def test_bankrun_closed_interval_counts_the_atom(lat):
     F = m.bankrun_payoff(p, lat, closed_interval=True)
     d0_measure = m.point_mass(lat, 0)
     # the crowd at exactly t=0 now counts: claim = L(3) - 1 = 0.5
-    assert F.evaluate(lat.b_values[0], lat.w_values[0], d0_measure, 0.0) == 0.5
+    assert F.evaluate(lat.b_values[0], lat.w_values[0], d0_measure, 0) == 0.5
     assert F.measure_mode is m.MeasureMode.GENERAL and F.past_measure_only
 
 
@@ -69,9 +69,8 @@ def test_bankrun_monotone_in_crowd(lat):
         for b in range(lat.num_paths):
             me, ml = early.grid_measure(b), late.grid_measure(b)
             for k in range(lat.steps + 1):
-                t = float(lat.grid[k])
-                assert (F.evaluate(lat.b_values[b], lat.w_values[0], ml, t)
-                        >= F.evaluate(lat.b_values[b], lat.w_values[0], me, t))
+                assert (F.evaluate(lat.b_values[b], lat.w_values[0], ml, k)
+                        >= F.evaluate(lat.b_values[b], lat.w_values[0], me, k))
 
 
 def test_bankrun_params_validation():
@@ -88,7 +87,7 @@ def test_bankrun_params_validation():
 
 def test_crowd_discount_empty_integral(lat):
     F = m.crowd_discount_payoff(m.CrowdDiscountParams(r=0.3, c=1.0), lat)
-    assert F.evaluate(lat.b_values[0], lat.w_values[0], m.point_mass(lat, 3), 0.0) == 1.0
+    assert F.evaluate(lat.b_values[0], lat.w_values[0], m.point_mass(lat, 3), 0) == 1.0
 
 
 def test_crowd_discount_single_term():
@@ -96,7 +95,7 @@ def test_crowd_discount_single_term():
     F = m.crowd_discount_payoff(m.CrowdDiscountParams(r=0.3, c=1.0), lat)
     b = np.zeros(3)
     w = np.zeros(3)
-    val = F.evaluate(b, w, m.point_mass(lat, 2), 0.5)
+    val = F.evaluate(b, w, m.point_mass(lat, 2), 1)
     assert val == pytest.approx(math.exp(0.3 * 0.5))
 
 
@@ -110,7 +109,7 @@ def test_crowd_discount_two_term_product():
     b, w = lat.b_values[b_id], lat.w_values[w_id]
     # left-endpoint sum over j in {0, 1}; the crowd mass of [0, t_j] is 1
     expect = math.exp(((r - 0.0 - 0.0 - c) + (r - 1.0 + 1.0 - c)) * 0.5)
-    assert F.evaluate(b, w, d0, 1.0) == pytest.approx(expect)
+    assert F.evaluate(b, w, d0, 2) == pytest.approx(expect)
 
 
 def test_crowd_discount_overflow_clamp():
@@ -119,7 +118,7 @@ def test_crowd_discount_overflow_clamp():
     # feed values far below the lattice range to force a clamp
     b = np.array([0.0, -80.0, -80.0])
     with pytest.warns(UserWarning, match="clamped"):
-        v = F.evaluate(b, np.zeros(3), m.point_mass(lat, 2), 1.0)
+        v = F.evaluate(b, np.zeros(3), m.point_mass(lat, 2), 2)
     assert v == F.bound
 
 
@@ -135,8 +134,7 @@ def test_diffusion_zero_kernel_ignores_crowd(lat):
     d0, dT = m.point_mass(lat, 0), m.point_mass(lat, lat.steps)
     b = lat.b_values[5]
     for k in range(lat.steps + 1):
-        t = float(lat.grid[k])
-        assert F.evaluate(b, lat.w_values[0], d0, t) == F.evaluate(b, lat.w_values[0], dT, t) == b[k]
+        assert F.evaluate(b, lat.w_values[0], d0, k) == F.evaluate(b, lat.w_values[0], dT, k) == b[k]
 
 
 def test_diffusion_sifting(lat):
@@ -146,9 +144,8 @@ def test_diffusion_sifting(lat):
     for s in range(lat.steps + 1):
         ds = m.point_mass(lat, s)
         for k in range(lat.steps + 1):
-            t = float(lat.grid[k])
-            assert F.evaluate(lat.b_values[0], lat.w_values[0], ds, t) == \
-                pytest.approx(phi(t - float(lat.grid[s])))
+            assert F.evaluate(lat.b_values[0], lat.w_values[0], ds, k) == \
+                pytest.approx(phi(float(lat.grid[k] - lat.grid[s])))
 
 
 def test_diffusion_relu_convolution():
@@ -157,7 +154,7 @@ def test_diffusion_relu_convolution():
         f=lambda x, y, t: y, phi=lambda u: max(u, 0.0), f_bound=10.0), lat)
     uni = m.empirical_measure([0.0, 0.5], lat)
     dt = lat.dt
-    val = F.evaluate(lat.b_values[0], lat.w_values[0], uni, 2 * dt)
+    val = F.evaluate(lat.b_values[0], lat.w_values[0], uni, 2)
     assert val == pytest.approx((2 * dt + dt) / 2)
 
 
@@ -176,7 +173,7 @@ def test_evaluate_J_constant(lat):
 
 
 def test_evaluate_J_martingale_spot(lat):
-    spot = m.PayoffSpec(lambda b, w, mm, t: float(b[lat.time_index(t)]),
+    spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]),
                         m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
                         bound=10.0, w_dependent=False)
     mu = m.conditional_law(m.StoppingRule.stop_at(m.public_tree(lat), 0))
@@ -201,7 +198,7 @@ def test_evaluate_J_affine_in_rule_mixture():
     # for crowd-independent payoffs J is the average of the two values
     lat = m.build_lattice(3, 0.5, 1.0, 1.0, 1.0)
     pub, ft = m.public_tree(lat), m.full_tree(lat)
-    spot = m.PayoffSpec(lambda b, w, mm, t: float(b[lat.time_index(t)]) ** 2,
+    spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) ** 2,
                         m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
                         bound=50.0, w_dependent=False)
     mu = m.conditional_law(m.StoppingRule.stop_at(pub, lat.steps))

@@ -5,9 +5,8 @@ import mfgtiming as m
 
 
 def spot_payoff(lat, fn, bound=50.0, w_dependent=False):
-    def ev(b, w, mm, t):
-        k = lat.time_index(t)
-        return fn(float(b[k]), float(w[k]), t)
+    def ev(b, w, mm, k):
+        return fn(float(b[k]), float(w[k]), float(lat.grid[k]))
     return m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
                         bound=bound, w_dependent=w_dependent)
 
@@ -104,10 +103,9 @@ def _random_cdf_payoff(lat, rng):
     table = rng.normal(0.0, 1.0, size=(2 * K + 1, K + 1))
     coef = float(rng.uniform(-1.0, 1.0))
 
-    def ev(b, w, mm, t):
-        k = lat.time_index(t)
+    def ev(b, w, mm, k):
         i = int(round((b[k] - lat.b0) / lat.db)) + K
-        return float(table[i, k]) + coef * mm.mass_before(t)
+        return float(table[i, k]) + coef * mm.mass_before(k)
 
     return m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
                         bound=float(np.abs(table).max() + 1.0), w_dependent=False)
@@ -134,8 +132,7 @@ def test_oracle_equivalence_full_tree_w_dependent():
     tree = m.full_tree(lat)
     table = rng.normal(0.0, 1.0, size=(5, 5, 3))
 
-    def ev(b, w, mm, t):
-        k = lat.time_index(t)
+    def ev(b, w, mm, k):
         return float(table[int(b[k]) + 2, int(w[k]) + 2, k])
 
     F = m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
@@ -166,9 +163,8 @@ def test_oracle_equivalence_signal_tree(sigma):
         table = rng.normal(0.0, 1.0, size=(2 * K + 1, 2 * K + 1, K + 1))
         coef = float(rng.uniform(-1.0, 1.0))
 
-        def ev(b, w, mm, t, lat=lat, table=table, coef=coef, K=K):
-            k = lat.time_index(t)
-            return float(table[int(b[k]) + K, int(w[k]) + K, k]) + coef * mm.mass_before(t)
+        def ev(b, w, mm, k, table=table, coef=coef, K=K):
+            return float(table[int(b[k]) + K, int(w[k]) + K, k]) + coef * mm.mass_before(k)
 
         F = m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
                          bound=10.0, w_dependent=True)
@@ -228,8 +224,7 @@ def test_information_monotonicity_strict():
     # more information places the stop better
     lat = m.build_lattice(4, 0.5, 0.0, 1.0, 1.0)
 
-    def ev(b, w, mm, t):
-        k = lat.time_index(t)
+    def ev(b, w, mm, k):
         return max(2.0 - 2.0 * abs(float(w[k]) - 1.0), 0.0)
 
     F = m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
