@@ -133,11 +133,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration, with a JSON-path message."""
 
 
+# the schema is a constant, checked against its metaschema by the tests, so
+# a config is validated without checking the schema again (tens of ms each)
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 def validate_config(config: dict) -> None:
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"{e.json_path}: {e.message}") from e
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"{error.json_path}: {error.message}") from error
     task = config["task"]
     kind = task["kind"]
     if kind == "check" and "trials" not in task:

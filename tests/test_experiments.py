@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import mfgtiming as m
@@ -21,6 +22,10 @@ def base_config(**over):
     }
     cfg.update(over)
     return cfg
+
+
+def test_config_schema_is_valid():
+    jsonschema.Draft202012Validator.check_schema(m.CONFIG_SCHEMA)
 
 
 def test_schema_rejects_with_field_path():
