@@ -43,23 +43,28 @@ def main(argv=None) -> int:
     if not isinstance(config, dict):
         print("error: config must be a JSON object", file=sys.stderr)
         return 2
-    task_cfg = dict(config.get("task") or {})
-    task_cfg.setdefault("kind", args.task)
-    if task_cfg["kind"] != args.task:
-        print(f"error: $.task.kind: config says {task_cfg['kind']!r} but "
-              f"subcommand is {args.task!r}", file=sys.stderr)
-        return 2
-    config["task"] = task_cfg
+    # overrides merge into objects only; validation names any other value
+    task_cfg = config.get("task", {})
+    if isinstance(task_cfg, dict):
+        task_cfg = dict(task_cfg)
+        task_cfg.setdefault("kind", args.task)
+        if task_cfg["kind"] != args.task:
+            print(f"error: $.task.kind: config says {task_cfg['kind']!r} but "
+                  f"subcommand is {args.task!r}", file=sys.stderr)
+            return 2
+        config["task"] = task_cfg
     if args.seed is not None:
         config["seed"] = args.seed
 
-    out_cfg = dict(config.get("output") or {})
-    if args.out is not None:
-        out_cfg["path"] = args.out
-    if args.format is not None:
-        out_cfg["format"] = args.format
-    if out_cfg:
-        config["output"] = out_cfg
+    out_cfg = config.get("output", {})
+    if isinstance(out_cfg, dict):
+        out_cfg = dict(out_cfg)
+        if args.out is not None:
+            out_cfg["path"] = args.out
+        if args.format is not None:
+            out_cfg["format"] = args.format
+        if out_cfg:
+            config["output"] = out_cfg
 
     try:
         record = run(config)

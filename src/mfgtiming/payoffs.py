@@ -260,6 +260,11 @@ def _prefix_group_mean(lat: LatticeModel, arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _default_check_tree(lat: LatticeModel) -> InfoTree:
+    """The checkers' tree: the full tree on small lattices, else the public tree."""
+    return full_tree(lat) if lat.steps <= 5 else public_tree(lat)
+
+
 def sample_ordered_measures(lat: LatticeModel, rng: np.random.Generator,
                             tree: Optional[InfoTree] = None
                             ) -> tuple[AdaptedMeasure, AdaptedMeasure]:
@@ -270,7 +275,7 @@ def sample_ordered_measures(lat: LatticeModel, rng: np.random.Generator,
     preserves adaptedness and covers non-comonotone ordered pairs.
     """
     if tree is None:
-        tree = full_tree(lat) if lat.steps <= 5 else public_tree(lat)
+        tree = _default_check_tree(lat)
     late = conditional_law(random_rule(tree, rng, p_stop=float(rng.uniform(0.1, 0.5))))
     bumps = _prefix_group_mean(lat, rng.exponential(0.6, size=late.cdf.shape))
     cdf = np.minimum(1.0, late.cdf * (1.0 + bumps))
@@ -331,7 +336,7 @@ def check_increasing_differences(payoff: PayoffSpec, lat: LatticeModel,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if tree is None:
-        tree = full_tree(lat) if lat.steps <= 5 else public_tree(lat)
+        tree = _default_check_tree(lat)
     rng = np.random.default_rng(seed)
     for i in range(trials):
         early_mu, late_mu = sample_ordered_measures(lat, rng, tree)

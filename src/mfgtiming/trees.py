@@ -1,19 +1,25 @@
 """Information trees (filtrations) and adapted stopping rules.
 
-A tree's nodes at date ``t_k`` are the distinguishable observation
-prefixes after k steps:
+Every filtration here is generated by one symbol observed per step,
+``s = symbol_of[b_bit, w_bit]``, where the 2x2 table maps the step's
+common and idiosyncratic increments (bit 1 = up) to symbols 0..S-1:
 
-* ``public``  -- prefixes of the common path only (2**k nodes),
-* ``full``    -- joint prefixes of both paths (4**k nodes),
-* ``signal``  -- prefixes of the noisy observation ``X = B + sigma*W``,
-  one node per sequence of distinct per-step increment sums.
+* ``public``  -- ``[[0, 0], [1, 1]]``: the common increment only,
+* ``full``    -- ``[[0, 2], [1, 3]]``: both increments, ``s = b + 2w``,
+* ``signal``  -- one symbol per distinct value of the noisy observation
+  ``dX = dB + sigma*dW``, ascending.
 
-Nodes are numbered layer by layer; ``offsets[k] + local`` is the
-absolute id of local node ``local`` at date ``t_k``.  A stopping rule is
-a stop/continue mark per node; measurability is structural because the
-decision can only read the node.  Rules are kept in canonical form
-(every descendant of a stopped node is marked stop), which makes rule
-equality equivalent to equality of the induced stopping times.
+A layer-k node is a sequence of k symbols ``s_0 .. s_{k-1}`` with local
+id ``sum_j s_j * S**j``, so layer k has ``S**k`` nodes and the children
+of local node ``l`` are ``l + s * S**k``.  On the public tree a node's
+id is the common prefix's path id; on the full tree it interleaves the
+two prefixes as base-4 digits ``b_j + 2*w_j``.  Nodes are numbered
+layer by layer; ``offsets[k] + local`` is the absolute id of local node
+``local`` at date ``t_k``.  A stopping rule is a stop/continue mark per
+node; measurability is structural because the decision can only read
+the node.  Rules are kept in canonical form (every descendant of a
+stopped node is marked stop), which makes rule equality equivalent to
+equality of the induced stopping times.
 """
 
 from __future__ import annotations
@@ -29,19 +35,37 @@ from .lattice import AdaptedMeasure, LatticeModel
 
 
 class InfoTree:
-    """Base class; concrete trees implement the layer maps."""
+    """The filtration generated by ``symbol_of[b_bit, w_bit]`` per step.
 
-    kind: str = "?"
+    ``symbol_probs[s]`` is the share of the four equally likely
+    increment pairs that show symbol ``s``; ``model`` is the signal
+    model of a signal tree, else None.
+    """
 
-    def __init__(self, lat: LatticeModel):
+    def __init__(self, lat: LatticeModel, kind: str, symbol_of,
+                 model: Optional[SignalModel] = None):
+        table = np.array(symbol_of, dtype=np.int64)
+        table.setflags(write=False)
         self.lat = lat
-        self._prefix_cache: dict[int, np.ndarray] = {}
+        self.kind = kind
+        self.model = model
+        self.symbol_of = table
+        self.num_symbols = int(table.max()) + 1
+        self.symbol_probs = np.bincount(table.ravel(), minlength=self.num_symbols) / 4.0
+        self.w_free = bool(np.all(table[:, 0] == table[:, 1]))
+        # local node per prefix pair, layer by layer (see prefix_nodes)
+        self._prefix_nodes = [np.zeros((1, 1), dtype=np.int64)]
 
-    # -- layer structure ---------------------------------------------------
+    @cached_property
+    def symbols(self) -> tuple:
+        """Observed per-step values: the signal alphabet, else the symbol ids."""
+        if self.model is not None:
+            return self.model.alphabet(self.lat)
+        return tuple(range(self.num_symbols))
 
     @cached_property
     def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(self._layer_size(k) for k in range(self.lat.steps + 1))
+        return tuple(self.num_symbols ** k for k in range(self.lat.steps + 1))
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -53,32 +77,41 @@ class InfoTree:
     def num_nodes(self) -> int:
         return int(self.offsets[-1])
 
-    @property
-    def w_free(self) -> bool:
-        """True when nodes depend on the common path prefix only."""
-        raise NotImplementedError
-
-    def _layer_size(self, k: int) -> int:
-        raise NotImplementedError
-
-    def _child_local(self, k: int, local: np.ndarray, b_bit: np.ndarray,
-                     w_bit: Optional[np.ndarray]) -> np.ndarray:
-        """Local ids at k+1 reached from layer-k nodes by one increment."""
-        raise NotImplementedError
-
     def continuation(self, k: int, v_next: np.ndarray) -> np.ndarray:
         """One-step conditional expectation of layer-(k+1) node values."""
-        raise NotImplementedError
+        n = self.layer_sizes[k]
+        out = self.symbol_probs[0] * v_next[:n]
+        for s in range(1, self.num_symbols):
+            out += self.symbol_probs[s] * v_next[s * n:(s + 1) * n]
+        return out
 
     def spread_to_children(self, k: int, marks: np.ndarray) -> np.ndarray:
         """Copy a per-node layer-k array onto each node's children."""
-        raise NotImplementedError
+        return np.tile(marks, self.num_symbols)
 
     def children_local(self, k: int, local: int) -> list[int]:
         """Local ids at layer k+1 of one node's children."""
-        raise NotImplementedError
+        n = self.layer_sizes[k]
+        return [local + s * n for s in range(self.num_symbols)]
 
     # -- joint-path traversal ----------------------------------------------
+
+    def prefix_nodes(self, k: int) -> np.ndarray:
+        """Local node per k-step prefix pair; shape (2**k, 1) or (2**k, 2**k).
+
+        Row ``b`` and column ``w`` are the prefixes' path ids (bit j is
+        step j); a w-free tree has a single column.
+        """
+        cache = self._prefix_nodes
+        step = self.symbol_of[:, :1] if self.w_free else self.symbol_of
+        while len(cache) <= k:
+            j, prev = len(cache) - 1, cache[-1]
+            # bit j of the prefix ids picks a block; its symbol s adds s * S**j
+            nxt = np.tile(prev, step.shape) + np.kron(step * self.layer_sizes[j],
+                                                      np.ones_like(prev))
+            nxt.setflags(write=False)
+            cache.append(nxt)
+        return cache[k]
 
     def joint_layers(self):
         """Yield (k, local-node array) over all joint paths, layer by layer.
@@ -86,90 +119,10 @@ class InfoTree:
         The array is broadcastable against the (2**K, 2**K) joint grid:
         shape (2**K, 1) for w-free trees, (2**K, 2**K) otherwise.
         """
-        lat = self.lat
-        ids = lat.path_ids
-        local = np.zeros((lat.num_paths, 1), dtype=np.int64)
-        if not self.w_free:
-            local = np.broadcast_to(local, (lat.num_paths, lat.num_paths)).copy()
-        for k in range(lat.steps + 1):
-            yield k, local
-            if k < lat.steps:
-                b_bit = ((ids >> k) & 1)[:, None]
-                w_bit = None if self.w_free else ((ids >> k) & 1)[None, :]
-                local = self._child_local(k, local, b_bit, w_bit)
-
-    def prefix_nodes(self, k: int) -> np.ndarray:
-        """Local node per k-step prefix pair; shape (2**k, 1) or (2**k, 2**k)."""
-        cached = self._prefix_cache.get(k)
-        if cached is not None:
-            return cached
-        n = 1 << k
-        pids = np.arange(n, dtype=np.int64)
-        local = np.zeros((n, 1), dtype=np.int64)
-        if not self.w_free:
-            local = np.broadcast_to(local, (n, n)).copy()
-        for j in range(k):
-            b_bit = ((pids >> j) & 1)[:, None]
-            w_bit = None if self.w_free else ((pids >> j) & 1)[None, :]
-            local = self._child_local(j, local, b_bit, w_bit)
-        local.setflags(write=False)
-        self._prefix_cache[k] = local
-        return local
-
-
-class PublicTree(InfoTree):
-    """Perfect observation of the common path only."""
-
-    kind = "public"
-    w_free = True
-
-    def _layer_size(self, k: int) -> int:
-        return 1 << k
-
-    def _child_local(self, k, local, b_bit, w_bit):
-        return local + (b_bit.astype(np.int64) << k)
-
-    def continuation(self, k, v_next):
-        n = 1 << k
-        return 0.5 * v_next[:n] + 0.5 * v_next[n:]
-
-    def spread_to_children(self, k, marks):
-        return np.tile(marks, 2)
-
-    def children_local(self, k, local):
-        return [local, local + (1 << k)]
-
-
-class FullTree(InfoTree):
-    """Full observation of both noise paths."""
-
-    kind = "full"
-    w_free = False
-
-    def _layer_size(self, k: int) -> int:
-        return 1 << (2 * k)
-
-    def _child_local(self, k, local, b_bit, w_bit):
-        mask = (1 << k) - 1
-        b_pre = (local >> k) + (b_bit.astype(np.int64) << k)
-        w_pre = (local & mask) + (w_bit.astype(np.int64) << k)
-        return (b_pre << (k + 1)) + w_pre
-
-    def continuation(self, k, v_next):
-        n = 1 << k
-        v2 = v_next.reshape(2 * n, 2 * n)
-        avg = 0.25 * (v2[:n, :n] + v2[n:, :n] + v2[:n, n:] + v2[n:, n:])
-        return avg.ravel()
-
-    def spread_to_children(self, k, marks):
-        n = 1 << k
-        return np.tile(marks.reshape(n, n), (2, 2)).ravel()
-
-    def children_local(self, k, local):
-        n = 1 << k
-        b_pre, w_pre = local // n, local % n
-        return [(b_pre + (bb << k)) * 2 * n + w_pre + (wb << k)
-                for bb in (0, 1) for wb in (0, 1)]
+        n = self.lat.num_paths
+        for k in range(self.lat.steps + 1):
+            reps = n >> k
+            yield k, np.tile(self.prefix_nodes(k), (reps, 1 if self.w_free else reps))
 
 
 @dataclass(frozen=True)
@@ -189,84 +142,32 @@ class SignalModel:
         return tuple(sorted(vals))
 
 
-class SignalTree(InfoTree):
-    """Observation of the noisy signal only, with exact filtering."""
-
-    kind = "signal"
-
-    def __init__(self, lat: LatticeModel, model: SignalModel):
-        super().__init__(lat)
-        self.model = model
-        self.symbols = model.alphabet(lat)
-        index = {v: i for i, v in enumerate(self.symbols)}
-        table = np.empty((2, 2), dtype=np.int64)  # [b_bit, w_bit] -> symbol
-        for b_bit in (0, 1):
-            for w_bit in (0, 1):
-                v = lat.db * (2 * b_bit - 1) + model.sigma * lat.dw * (2 * w_bit - 1)
-                table[b_bit, w_bit] = index[v]
-        table.setflags(write=False)
-        self.symbol_of = table
-        counts = np.bincount(table.ravel(), minlength=len(self.symbols))
-        self.symbol_probs = counts / 4.0
-        self._w_free = bool(np.all(table[:, 0] == table[:, 1]))
-
-    @property
-    def w_free(self) -> bool:
-        return self._w_free
-
-    @property
-    def num_symbols(self) -> int:
-        return len(self.symbols)
-
-    def _layer_size(self, k: int) -> int:
-        return self.num_symbols ** k
-
-    def _child_local(self, k, local, b_bit, w_bit):
-        if w_bit is None:
-            sym = self.symbol_of[b_bit, 0]
-        else:
-            sym = self.symbol_of[b_bit, w_bit]
-        return local + sym * (self.num_symbols ** k)
-
-    def continuation(self, k, v_next):
-        n = self.num_symbols ** k
-        out = np.zeros(n)
-        for s, p in enumerate(self.symbol_probs):
-            out += p * v_next[s * n:(s + 1) * n]
-        return out
-
-    def spread_to_children(self, k, marks):
-        return np.tile(marks, self.num_symbols)
-
-    def children_local(self, k, local):
-        n = self.num_symbols ** k
-        return [local + s * n for s in range(self.num_symbols)]
+def public_tree(lat: LatticeModel) -> InfoTree:
+    """Perfect observation of the common path only."""
+    return InfoTree(lat, "public", [[0, 0], [1, 1]])
 
 
-def public_tree(lat: LatticeModel) -> PublicTree:
-    return PublicTree(lat)
+def full_tree(lat: LatticeModel) -> InfoTree:
+    """Full observation of both noise paths."""
+    return InfoTree(lat, "full", [[0, 2], [1, 3]])
 
 
-def full_tree(lat: LatticeModel) -> FullTree:
-    return FullTree(lat)
-
-
-def build_signal_tree(lat: LatticeModel, model: SignalModel) -> SignalTree:
-    """Signal-filtration tree with exact posteriors attached.
+def build_signal_tree(lat: LatticeModel, model: SignalModel) -> InfoTree:
+    """Observation of the noisy signal only, with exact filtering.
 
     With ``sigma = 0`` the tree coincides with the public tree node for
     node, and the engine arithmetic is identical, so solver outputs
     agree exactly.
     """
-    return SignalTree(lat, model)
+    index = {v: i for i, v in enumerate(model.alphabet(lat))}
+    table = [[index[lat.db * (2 * b_bit - 1) + model.sigma * lat.dw * (2 * w_bit - 1)]
+              for w_bit in (0, 1)] for b_bit in (0, 1)]
+    return InfoTree(lat, "signal", table, model)
 
 
 def same_information(t1: InfoTree, t2: InfoTree) -> bool:
-    if t1.lat != t2.lat or t1.kind != t2.kind:
-        return False
-    if isinstance(t1, SignalTree):
-        return t1.model == t2.model
-    return True
+    return t1.lat == t2.lat and t1.kind == t2.kind and t1.model == t2.model
+
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +300,8 @@ def count_rules(tree: InfoTree) -> int:
     rule counts; horizon nodes have exactly one rule (forced stop).
     """
     s = 1
-    sizes = tree.layer_sizes
-    for k in reversed(range(tree.lat.steps)):
-        branching = sizes[k + 1] // sizes[k]
-        s = 1 + s ** branching
+    for _ in range(tree.lat.steps):
+        s = 1 + s ** tree.num_symbols
     return s
 
 

@@ -1,4 +1,5 @@
-"""The benchmark's tracer must find every package function it wraps.
+"""The benchmark's tracer must find every package function it wraps, and
+the benchmark's self-test must pass.
 
 ``perfbench/tracer.py`` wraps package functions at the module bindings
 where their callers look them up.  A binding that a refactor removes or
@@ -6,7 +7,9 @@ renames drops the metrics that read it, so a traced benchmark run would
 report fewer per-layer metrics than it declares.  This test installs the
 tracer in a fresh process (it rebinds module attributes, so it must not
 run inside the test process), runs one small config of every task kind
-the benchmark uses, and requires every binding and every metric.
+the benchmark uses, and requires every binding and every metric.  The
+self-test runs ``perfbench/selftest.py`` as a user would, from the root
+of the checkout.
 """
 
 import json
@@ -65,3 +68,13 @@ def test_tracer_finds_every_binding_and_metric(tmp_path):
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["missing"] == []
     assert got["absent"] == []
+
+
+def test_benchmark_selftest_passes():
+    """The output checks still reject corrupted outputs and the tracer
+    still names a missing binding (``perfbench/selftest.py``)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -185,6 +185,23 @@ def test_cli_unknown_diffusion_phi_key_names_path(tmp_path, capsys):
     _cli_rejects(tmp_path, capsys, cfg, "$.payoff.phi:", "'scael'")
 
 
+def test_cli_non_object_task_names_path(tmp_path, capsys):
+    cfg = base_config(task="solve-mfe")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["solve-mfe", "--config", str(cfg_path)]) == 2
+    assert "$.task:" in capsys.readouterr().err
+
+
+def test_cli_non_object_output_names_path(tmp_path, capsys):
+    cfg = base_config(output="out.json")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["solve-mfe", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out.json")]) == 2
+    assert "$.output:" in capsys.readouterr().err
+
+
 def test_cli_missing_file_exit_code():
     assert cli_main(["solve-mfe", "--config", "/no/such/file.json"]) == 2
 

@@ -202,3 +202,47 @@ def test_enumerate_rules_cap():
     lat = m.build_lattice(6, 0.5, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="enumeration too large"):
         list(m.enumerate_rules(m.public_tree(lat)))
+
+
+TREES = {
+    "public": m.public_tree,
+    "full": m.full_tree,
+    "signal-0.5": lambda lat: m.build_signal_tree(lat, m.SignalModel(0.5)),
+    "signal-1": lambda lat: m.build_signal_tree(lat, m.SignalModel(1.0)),
+}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_tree_structure_matches_joint_paths(name, steps):
+    lat = m.build_lattice(steps, 0.5, 3.0, 1.0, 1.0)
+    tree = TREES[name](lat)
+    grid = (lat.num_paths, lat.num_paths)
+    layers = [np.broadcast_to(local, grid).ravel() for _, local in tree.joint_layers()]
+    rng = np.random.default_rng(steps)
+    for k in range(lat.steps):
+        here, there = layers[k], layers[k + 1]
+        size, size_next = tree.layer_sizes[k], tree.layer_sizes[k + 1]
+        # continuation is the path-weighted mean over each node's next nodes
+        v = rng.random(size_next)
+        mean = (np.bincount(here, weights=v[there], minlength=size)
+                / np.bincount(here, minlength=size))
+        assert np.allclose(tree.continuation(k, v), mean, rtol=0, atol=1e-12)
+        children = [tree.children_local(k, node) for node in range(size)]
+        for node, child in set(zip(here.tolist(), there.tolist())):
+            assert child in children[node]
+        assert sorted(sum(children, [])) == list(range(size_next))
+        marks = rng.random(size)
+        spread = tree.spread_to_children(k, marks)
+        for node in range(size):
+            assert np.all(spread[children[node]] == marks[node])
+
+
+def test_full_tree_node_is_base_four_symbol_sequence():
+    lat = m.build_lattice(3, 0.5, 3.0, 1.0, 1.0)
+    tree = m.full_tree(lat)
+    for k in range(lat.steps + 1):
+        b = np.arange(1 << k)[:, None]
+        w = np.arange(1 << k)[None, :]
+        expect = sum((((b >> j) & 1) + 2 * ((w >> j) & 1)) * 4 ** j for j in range(k))
+        assert np.array_equal(tree.prefix_nodes(k), np.broadcast_to(expect, (1 << k, 1 << k)))
