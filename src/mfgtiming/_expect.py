@@ -8,6 +8,12 @@ payoff (w-dependence, whether the measure is only read on the past)
 decide how much of that averaging can be collapsed; the collapsed and
 uncollapsed computations agree exactly because the payoff is constant
 across the collapsed coordinates.
+
+Payoff values come a layer at a time from :func:`layer_values`: the
+payoff's array kernel ``evaluate_layer(k, b_ids, w_ids, cdf)`` when it
+has one, else a scalar adapter that calls ``evaluate`` once per atom.
+Sums run in atom order (``np.bincount`` adds its weights in input
+order), so kernel and adapter give the same bits.
 """
 
 from __future__ import annotations
@@ -69,6 +75,27 @@ def layer_atoms(tree: InfoTree, k: int, w_dependent: bool):
     return atom_node, atom_b, atom_w, weight
 
 
+def layer_values(payoff, mu: AdaptedMeasure):
+    """``f(k, b_ids, w_ids, cdf)``: payoff values at date ``k`` of the
+    atoms with common path ids ``b_ids`` and idiosyncratic path ids
+    ``w_ids``, against crowd ``mu`` (``cdf`` is ``mu.cdf``).
+
+    This is the payoff's ``evaluate_layer`` when it has one; otherwise a
+    scalar adapter calls ``evaluate`` per atom, with the atom's path rows
+    and ``mu.grid_measure(b)``, whose CDF is row ``b`` of ``mu.cdf``.
+    """
+    if payoff.evaluate_layer is not None:
+        return payoff.evaluate_layer
+    ev = payoff.evaluate
+    bvals, wvals = mu.lat.b_values, mu.lat.w_values
+
+    def adapter(k, b_ids, w_ids, cdf):
+        return np.array([ev(bvals[b], wvals[w], mu.grid_measure(b), k)
+                         for b, w in zip(b_ids.tolist(), w_ids.tolist())], dtype=float)
+
+    return adapter
+
+
 def stop_reward_layers(payoff, mu: AdaptedMeasure, tree: InfoTree) -> list[np.ndarray]:
     """Per-layer arrays of E[payoff at t_k | node], exact.
 
@@ -77,31 +104,23 @@ def stop_reward_layers(payoff, mu: AdaptedMeasure, tree: InfoTree) -> list[np.nd
     so keep w-dependent payoffs and joint trees to small lattices.
     """
     lat = tree.lat
-    bvals, wvals = lat.b_values, lat.w_values
     need_b, need_w = _suffix_needs(payoff)
     if (need_b or need_w) and lat.steps > SUFFIX_WARN_STEPS:
         warnings.warn(
             f"payoff reads future paths: suffix enumeration is exponential "
             f"and the lattice has {lat.steps} > {SUFFIX_WARN_STEPS} steps")
-    ev = payoff.evaluate
+    values = layer_values(payoff, mu)
     layers = []
     for k in range(lat.steps + 1):
         shift = lat.steps - k
-        b_ext = (np.arange(1 << shift, dtype=np.int64) << k) if (need_b and shift) \
-            else np.zeros(1, dtype=np.int64)
-        w_ext = (np.arange(1 << shift, dtype=np.int64) << k) if (need_w and shift) \
-            else np.zeros(1, dtype=np.int64)
+        b_ext = [e << k for e in range(1 << shift)] if (need_b and shift) else [0]
+        w_ext = [e << k for e in range(1 << shift)] if (need_w and shift) else [0]
         inv = 1.0 / (len(b_ext) * len(w_ext))
         atom_node, atom_b, atom_w, weight = layer_atoms(tree, k, payoff.w_dependent)
-        reward = np.zeros(tree.layer_sizes[k])
-        for node, bp, wp, wt in zip(atom_node, atom_b, atom_w, weight):
-            acc = 0.0
-            for be in b_ext:
-                bid = int(bp + be)
-                m = mu.grid_measure(bid)
-                brow = bvals[bid]
-                for we in w_ext:
-                    acc += ev(brow, wvals[int(wp + we)], m, k)
-            reward[node] += wt * inv * acc
-        layers.append(reward)
+        acc = np.zeros(len(atom_node))
+        for be in b_ext:  # suffix columns one at a time, in enumeration order
+            for we in w_ext:
+                acc += values(k, atom_b + be, atom_w + we, mu.cdf)
+        layers.append(np.bincount(atom_node, weights=weight * inv * acc,
+                                  minlength=tree.layer_sizes[k]))
     return layers

@@ -23,7 +23,8 @@ from ._rng import STREAM_CHECK, derive_rng
 from .lattice import HARD_STEP_CAP, AdaptedMeasure, LatticeModel, build_lattice
 from .mfe import (EquilibriumResult, IterationResult, public_info_equilibrium,
                   solve_mfe, verify_mfe)
-from .nplayer import Exact, MonteCarlo, convergence_experiment, estimate_epsilon
+from .nplayer import (EXACT_GENERAL_CAP, Exact, MonteCarlo, convergence_experiment,
+                      estimate_epsilon, exact_tractable)
 from .payoffs import (BankRunParams, CrowdDiscountParams,
                       DiffusionPayoffParams, PayoffSpec, bankrun_payoff,
                       check_increasing_differences, check_submartingale,
@@ -356,11 +357,18 @@ def _mfe_rule_for(config, lat, payoff, tree) -> StoppingRule:
 
 def _task_eps_nash(config, lat, payoff, tree) -> dict:
     task = config["task"]
-    rule = _mfe_rule_for(config, lat, payoff, tree)
     if task.get("method", "exact") == "exact":
         method = Exact()
+        n_max = max(task["n_list"])
+        if not exact_tractable(payoff, n_max):
+            raise ConfigError(
+                f"$.task.n_list: exact n-player integration of the {payoff.label} "
+                f"payoff, which reads more than the crowd mass strictly before the "
+                f"date, needs n <= {EXACT_GENERAL_CAP}, got {n_max}; "
+                f"use method monte-carlo")
     else:
         method = MonteCarlo(task.get("samples", 1000), config["seed"])
+    rule = _mfe_rule_for(config, lat, payoff, tree)
     rows = []
     for n in task["n_list"]:
         rep = estimate_epsilon(payoff, rule, n, lat, method)

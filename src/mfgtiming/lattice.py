@@ -129,22 +129,36 @@ def build_lattice(steps: int, dt: float, b0: float, db: float, dw: float,
 
 
 class GridMeasure:
-    """Probability measure on the grid dates, a mass vector read by grid index."""
+    """Probability measure on the grid dates, a mass vector read by grid index.
+
+    The CDF is the running sum of the mass, unless the measure was built
+    :meth:`from_cdf`, which keeps the given CDF bit for bit.
+    """
 
     __slots__ = ("mass", "_cdf")
 
-    def __init__(self, mass: np.ndarray):
+    def __init__(self, mass: np.ndarray, _cdf: np.ndarray | None = None):
         mass = np.asarray(mass, dtype=float)
         if np.any(mass < 0):
             raise ValueError("mass must be nonnegative")
         total = float(mass.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mass must sum to 1, got {total!r}")
-        cdf = np.cumsum(mass)
+        cdf = np.cumsum(mass) if _cdf is None else np.array(_cdf, dtype=float)
         mass.setflags(write=False)
         cdf.setflags(write=False)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "_cdf", cdf)
+
+    @classmethod
+    def from_cdf(cls, cdf: np.ndarray) -> "GridMeasure":
+        """The measure whose CDF is exactly ``cdf``; its mass is the CDF's
+        differences, validated as any mass is."""
+        cdf = np.asarray(cdf, dtype=float)
+        mass = np.empty_like(cdf)
+        mass[0] = cdf[0]
+        mass[1:] = np.diff(cdf)
+        return cls(mass, _cdf=cdf)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("GridMeasure is immutable")
@@ -238,15 +252,12 @@ class AdaptedMeasure:
         raise AttributeError("AdaptedMeasure is immutable")
 
     def grid_measure(self, b_id: int) -> GridMeasure:
-        """Distribution over stop dates along common path ``b_id``."""
+        """Distribution over stop dates along common path ``b_id``; its CDF
+        is row ``b_id`` of ``cdf``, bit for bit."""
         b_id = int(b_id)
         row = self._rows.get(b_id)
         if row is None:
-            c = self.cdf[b_id]
-            mass = np.empty_like(c)
-            mass[0] = c[0]
-            mass[1:] = np.diff(c)
-            row = GridMeasure(mass)
+            row = GridMeasure.from_cdf(self.cdf[b_id])
             self._rows[b_id] = row  # idempotent write, safe under races
         return row
 

@@ -93,12 +93,13 @@ def _binomial_weights(m: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     return js[keep], ws[keep]
 
 
-def _mass_before_measure(lat: LatticeModel, x: float) -> GridMeasure:
-    """A measure whose mass strictly before every positive date is x."""
+def _mass_before(lat: LatticeModel, x: float) -> np.ndarray:
+    """Mass vector of a measure whose mass strictly before every positive
+    date is x."""
     mass = np.zeros(lat.steps + 1)
     mass[0] = x
     mass[-1] += 1.0 - x
-    return GridMeasure(mass)
+    return mass
 
 
 def _field_payoff_cdf(payoff: PayoffSpec, law: AdaptedMeasure, n: int,
@@ -109,16 +110,32 @@ def _field_payoff_cdf(payoff: PayoffSpec, law: AdaptedMeasure, n: int,
     mass strictly before the date, which given the common path is
     ``J/n`` with ``J ~ Binomial(n-1, law[0, t))``; the agent's own atom
     is simultaneous and therefore excluded.
+
+    When the payoff has a layer kernel, so does the field payoff: atoms
+    are grouped by their ``q = law[0, t)``, and each group sums the pmf
+    times the payoff's kernel against the crowd ``J/n``, term by term in
+    the scalar evaluator's order.  The crowd is read from ``law``; the
+    ``cdf`` argument (the measure being solved against) is ignored, as
+    the scalar evaluator ignores its measure.
     """
     cdf = law.cdf
     cache: dict[int, GridMeasure] = {}
+    rows: dict[int, np.ndarray] = {}
 
     def crowd_measure(j: int) -> GridMeasure:
         m = cache.get(j)
         if m is None:
-            m = _mass_before_measure(lat, j / n)
+            m = GridMeasure(_mass_before(lat, j / n))
             cache[j] = m
         return m
+
+    def crowd_cdf(j: int) -> np.ndarray:
+        """The CDF of ``crowd_measure(j)`` as every common path's row."""
+        row = rows.get(j)
+        if row is None:
+            row = np.broadcast_to(np.cumsum(_mass_before(lat, j / n)), cdf.shape)
+            rows[j] = row
+        return row
 
     def evaluate(b, w, m, k):
         bid = lat.path_id_from_values(b)
@@ -129,9 +146,26 @@ def _field_payoff_cdf(payoff: PayoffSpec, law: AdaptedMeasure, n: int,
             acc += pj * payoff.evaluate(b, w, crowd_measure(int(j)), k)
         return acc
 
+    inner = payoff.evaluate_layer
+
+    def evaluate_layer(k, b_ids, w_ids, _cdf):
+        q = cdf[b_ids, k - 1] if k > 0 else np.zeros(len(b_ids))
+        qs, group = np.unique(q, return_inverse=True)
+        out = np.empty(len(b_ids))
+        for g, qg in enumerate(qs.tolist()):
+            at = np.nonzero(group == g)[0]
+            bg, wg = b_ids[at], w_ids[at]
+            acc = np.zeros(len(at))
+            js, ws = _binomial_weights(n - 1, qg)
+            for j, pj in zip(js.tolist(), ws):
+                acc += pj * inner(k, bg, wg, crowd_cdf(j))
+            out[at] = acc
+        return out
+
     return PayoffSpec(evaluate, MeasureMode.CDF_AT_T, PathMode.PREFIX_TO_T,
                       bound=payoff.bound, w_dependent=payoff.w_dependent,
-                      label=f"{payoff.label}|field(n={n})")
+                      label=f"{payoff.label}|field(n={n})",
+                      evaluate_layer=evaluate_layer if inner is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +222,21 @@ def _field_payoff_general(payoff: PayoffSpec, law: AdaptedMeasure, n: int,
                       label=f"{payoff.label}|field(n={n})")
 
 
+def exact_tractable(payoff: PayoffSpec, n: int) -> bool:
+    """Whether the exact crowd integration runs for ``n`` players: always
+    for half-open CDF payoffs (binomial), else only up to
+    ``EXACT_GENERAL_CAP`` players (multisets)."""
+    return payoff.measure_mode is MeasureMode.CDF_AT_T or n <= EXACT_GENERAL_CAP
+
+
 def _field_payoff(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
                   law: Optional[AdaptedMeasure] = None) -> PayoffSpec:
+    if not exact_tractable(payoff, prof.n):
+        raise ValueError("exact intractable, use MonteCarlo")
     law = law if law is not None else conditional_law(prof.rule)
     if payoff.measure_mode is MeasureMode.CDF_AT_T:
         return _field_payoff_cdf(payoff, law, prof.n, lat)
-    if prof.n <= EXACT_GENERAL_CAP:
-        return _field_payoff_general(payoff, law, prof.n, lat)
-    raise ValueError("exact intractable, use MonteCarlo")
+    return _field_payoff_general(payoff, law, prof.n, lat)
 
 
 # ---------------------------------------------------------------------------

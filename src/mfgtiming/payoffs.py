@@ -15,6 +15,19 @@ collapse the averaging they do not need:
 * ``measure_past_only`` -- the measure is only read at dates <= t_k, so
   node-conditional expectations need no future-path averaging.
 
+A payoff may also carry an array kernel, ``evaluate_layer(k, b_ids,
+w_ids, cdf) -> ndarray``: the values at date ``k`` of many atoms at
+once.  ``b_ids`` and ``w_ids`` are int64 path ids, one per atom, and
+``cdf`` is a ``(2**K, K+1)`` table whose row ``b`` is the crowd's CDF
+along common path ``b`` (``AdaptedMeasure.cdf``); the kernel gathers
+only the entries it reads, such as ``cdf[b_ids, k - 1]``.  Its values
+must equal ``evaluate``'s bit for bit, with row ``b`` standing for the
+crowd measure, and it must not call ``evaluate``.  The engine calls the
+kernel once per layer; a payoff without one (``evaluate_layer=None``,
+the default for user payoffs) goes through a scalar adapter that calls
+``evaluate`` once per atom.  The bank-run, crowd-fraction and constant
+payoffs have kernels; the diffusion and crowd-discount payoffs do not.
+
 Evaluators must be pure; everything here is safe to call concurrently.
 """
 
@@ -28,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._expect import stop_reward_layers
+from ._expect import layer_values, stop_reward_layers
 from .lattice import AdaptedMeasure, GridMeasure, LatticeModel, stochastic_leq
 from .trees import (InfoTree, StoppingRule, conditional_law, enumerate_rules,
                     full_tree, public_tree, random_rule)
@@ -59,6 +72,8 @@ class PayoffSpec:
     w_dependent: bool = True
     measure_past_only: bool = False
     label: str = ""
+    evaluate_layer: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray],
+                                      np.ndarray]] = None
 
     def __post_init__(self):
         if self.bound <= 0:
@@ -111,11 +126,28 @@ def bankrun_payoff(p: BankRunParams, lat: LatticeModel,
             claim = 0.0
         return growth[k] * (d0 if claim > d0 else claim)
 
+    # L(B_k) per k-step prefix (B_k reads the first k steps of the path),
+    # with one call of L per distinct value
+    liq_at = []
+    for k in range(lat.steps + 1):
+        values, where = np.unique(lat.b_values[:1 << k, k], return_inverse=True)
+        liq_at.append(np.array([liq(v) for v in values])[where])
+
+    def evaluate_layer(k, b_ids, w_ids, cdf):
+        if closed_interval:
+            crowd = cdf[b_ids, k]
+        else:
+            crowd = cdf[b_ids, k - 1] if k > 0 else 0.0
+        claim = liq_at[k][b_ids & ((1 << k) - 1)] - crowd
+        claim = np.where(claim < 0.0, 0.0, claim)
+        return growth[k] * np.where(claim > d0, d0, claim)
+
     mode = MeasureMode.GENERAL if closed_interval else MeasureMode.CDF_AT_T
     return PayoffSpec(evaluate, mode, PathMode.SPOT_AT_T,
                       bound=math.exp(rho * lat.horizon) * d0,
                       w_dependent=False, measure_past_only=True,
-                      label="bankrun" + ("-closed" if closed_interval else ""))
+                      label="bankrun" + ("-closed" if closed_interval else ""),
+                      evaluate_layer=evaluate_layer)
 
 
 @dataclass(frozen=True)
@@ -187,9 +219,13 @@ def diffusion_payoff(p: DiffusionPayoffParams, lat: LatticeModel) -> PayoffSpec:
 
 
 def constant_payoff(c: float, lat: LatticeModel) -> PayoffSpec:
+    def evaluate_layer(k, b_ids, w_ids, cdf):
+        return np.full(len(b_ids), c, dtype=float)
+
     return PayoffSpec(lambda b, w, m, k: c, MeasureMode.CDF_AT_T,
                       PathMode.SPOT_AT_T, bound=max(abs(c), 1.0),
-                      w_dependent=False, label=f"constant({c})")
+                      w_dependent=False, label=f"constant({c})",
+                      evaluate_layer=evaluate_layer)
 
 
 def crowd_fraction_payoff(lat: LatticeModel) -> PayoffSpec:
@@ -198,9 +234,13 @@ def crowd_fraction_payoff(lat: LatticeModel) -> PayoffSpec:
     The canonical payoff that cannot have increasing differences unless
     constant; used as the negative control for the checkers.
     """
+    def evaluate_layer(k, b_ids, w_ids, cdf):
+        return cdf[b_ids, k - 1] if k > 0 else np.zeros(len(b_ids))
+
     return PayoffSpec(lambda b, w, m, k: m.mass_before(k),
                       MeasureMode.CDF_AT_T, PathMode.SPOT_AT_T, bound=1.0,
-                      w_dependent=False, label="crowd_fraction")
+                      w_dependent=False, label="crowd_fraction",
+                      evaluate_layer=evaluate_layer)
 
 
 # ---------------------------------------------------------------------------
@@ -212,35 +252,39 @@ def evaluate_J(payoff: PayoffSpec, mu: AdaptedMeasure, rule: StoppingRule,
                lat: LatticeModel) -> float:
     """Exact expected reward of following ``rule`` against crowd ``mu``.
 
-    The expectation runs over all 4**K joint paths; w-independent
-    payoffs are collapsed through the per-path stop-date distribution,
-    which is an exact regrouping.
+    The expectation runs over all 4**K joint paths.  It is a sum of
+    ``count * value`` terms in common-path order: one term per joint path
+    for w-dependent payoffs, else one per (common path, stop date) with
+    the number of idiosyncratic paths stopping then, an exact regrouping.
+    Values come a date at a time from the payoff's layer kernel (or its
+    scalar adapter), and the terms are added one by one in that order.
     """
     if rule.tree.lat != lat or mu.lat != lat:
         raise ValueError("lattice mismatch")
     steps = rule.stop_steps()
-    bvals, wvals = lat.b_values, lat.w_values
-    n = lat.num_paths
-    ev = payoff.evaluate
-    total = 0.0
-    if not payoff.w_dependent:
-        if steps.shape[1] == 1:
-            for b, k in enumerate(steps[:, 0].tolist()):
-                total += ev(bvals[b], wvals[0], mu.grid_measure(b), k)
-            return float(total / n)
-        for b in range(n):
-            counts = np.bincount(steps[b], minlength=lat.steps + 1)
-            m = mu.grid_measure(b)
-            for k in np.nonzero(counts)[0].tolist():
-                total += int(counts[k]) * ev(bvals[b], wvals[0], m, k)
-        return float(total / (n * n))
-    wide = np.broadcast_to(steps, (n, n))
-    for b in range(n):
-        m = mu.grid_measure(b)
-        brow = bvals[b]
-        for w, k in enumerate(wide[b].tolist()):
-            total += ev(brow, wvals[w], m, k)
-    return float(total / (n * n))
+    n, kk = lat.num_paths, lat.steps + 1
+    if payoff.w_dependent:
+        width = n
+        dates = np.broadcast_to(steps, (n, n)).astype(np.int64).ravel()
+        b_ids = np.repeat(lat.path_ids, n)
+        w_ids = np.tile(lat.path_ids, n)
+        counts = np.ones(n * n, dtype=np.int64)
+    else:
+        width = steps.shape[1]
+        flat = steps.astype(np.int64) + kk * lat.path_ids[:, None]
+        table = np.bincount(flat.ravel(), minlength=n * kk)
+        cells = np.nonzero(table)[0]
+        b_ids, dates = np.divmod(cells, kk)
+        w_ids = np.zeros(len(cells), dtype=np.int64)
+        counts = table[cells]
+    values = layer_values(payoff, mu)
+    vals = np.empty(len(dates))
+    for k in np.unique(dates).tolist():
+        at = np.nonzero(dates == k)[0]
+        vals[at] = values(k, b_ids[at], w_ids[at], mu.cdf)
+    # a running sum adds the terms in order; ndarray.sum would add pairwise
+    total = np.cumsum(np.concatenate(([0.0], counts * vals)))[-1]
+    return float(total / (n * width))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ report fewer per-layer metrics than it declares.  This test installs the
 tracer in a fresh process (it rebinds module attributes, so it must not
 run inside the test process), runs one small config of every task kind
 the benchmark uses, and requires every binding and every metric.  The
-self-test runs ``perfbench/selftest.py`` as a user would, from the root
-of the checkout.
+same traced runs guard the payoff kernels: solving, checking and exact
+n-player integration of the bank run make no scalar payoff call and
+build no ``GridMeasure``.  The self-test runs ``perfbench/selftest.py``
+as a user would, from the root of the checkout.
 """
 
 import json
@@ -35,7 +37,8 @@ for config in configs:
     mfgtiming.payload_bytes(record)
 metrics = tracer.metrics()
 print(json.dumps({"missing": tracer.missing,
-                  "absent": sorted(set(METRICS) - set(metrics))}))
+                  "absent": sorted(set(METRICS) - set(metrics)),
+                  "metrics": metrics}))
 """
 
 
@@ -50,24 +53,43 @@ def config(task, info="public"):
     }
 
 
-def test_tracer_finds_every_binding_and_metric(tmp_path):
-    configs = [
-        config({"kind": "solve-mfe"}),
-        config({"kind": "check", "trials": 5, "submartingale_pairs": 1}),
-        config({"kind": "eps-nash", "n_list": [2, 4], "method": "exact"}, "signal"),
-        config({"kind": "eps-nash", "n_list": [2], "method": "monte-carlo",
-                "samples": 20}),
-        config({"kind": "converge", "n_list": [2, 4], "samples": 20}, "signal"),
-    ]
+def traced(configs, tmp_path) -> dict:
+    """Run the configs in one traced process; its last line, parsed."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, json.dumps(configs), str(tmp_path / "out.json")],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_tracer_finds_every_binding_and_metric(tmp_path):
+    got = traced([
+        config({"kind": "solve-mfe"}),
+        config({"kind": "check", "trials": 5, "submartingale_pairs": 1}),
+        config({"kind": "eps-nash", "n_list": [2, 4], "method": "exact"}, "signal"),
+        config({"kind": "eps-nash", "n_list": [2], "method": "monte-carlo",
+                "samples": 20}),
+        config({"kind": "converge", "n_list": [2, 4], "samples": 20}, "signal"),
+    ], tmp_path)
     assert got["missing"] == []
     assert got["absent"] == []
+
+
+def test_bankrun_tasks_run_on_the_payoff_kernels(tmp_path):
+    """Stop rewards, ``evaluate_J`` and the exact n-player crowd reach the
+    bank run's layer kernel, never its scalar ``evaluate``."""
+    got = traced([
+        config({"kind": "solve-mfe"}),
+        config({"kind": "check", "trials": 5, "submartingale_pairs": 1}),
+        config({"kind": "eps-nash", "n_list": [2, 4], "method": "exact"}, "signal"),
+    ], tmp_path)
+    assert got["missing"] == []
+    assert got["metrics"]["payoffs.evaluations"] == 0
+    assert got["metrics"]["lattice.grid_measures"] == 0
+    assert got["metrics"]["payoffs.evaluate_J_calls"] > 0
+    assert got["metrics"]["expect.stop_rewards_calls"] > 0
 
 
 def test_benchmark_selftest_passes():

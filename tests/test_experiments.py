@@ -9,6 +9,7 @@ import pytest
 
 import mfgtiming as m
 from mfgtiming.cli import main as cli_main
+from mfgtiming.nplayer import EXACT_GENERAL_CAP
 
 
 def base_config(**over):
@@ -200,6 +201,35 @@ def test_cli_non_object_output_names_path(tmp_path, capsys):
     assert cli_main(["solve-mfe", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out.json")]) == 2
     assert "$.output:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payoff, closed", [
+    ({"kind": "crowd_discount", "r": 0.3, "c": 0.8}, False),
+    ({"kind": "diffusion", "f": "identity_y", "phi": {"preset": "relu"}}, False),
+    (base_config()["payoff"], True),
+])
+def test_cli_exact_eps_nash_past_general_cap_fails_before_solving(
+        tmp_path, capsys, monkeypatch, payoff, closed):
+    """A payoff that reads more than the mass strictly before the date has
+    an exact n-player crowd only up to EXACT_GENERAL_CAP players."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting the config")
+
+    monkeypatch.setattr(m.experiments, "solve_mfe", no_solve)
+    cfg = base_config(payoff=payoff, task={"kind": "eps-nash", "n_list": [4, 16]})
+    if closed:
+        cfg["closed_interval"] = True
+    _cli_rejects(tmp_path, capsys, cfg, "$.task.n_list:", f"n <= {EXACT_GENERAL_CAP}",
+                 "monte-carlo")
+
+
+def test_cli_exact_eps_nash_at_general_cap_runs(tmp_path):
+    cfg = base_config(closed_interval=True,
+                      task={"kind": "eps-nash", "n_list": [2, EXACT_GENERAL_CAP]})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["eps-nash", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out.json")]) == 0
 
 
 def test_cli_missing_file_exit_code():
