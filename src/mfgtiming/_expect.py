@@ -22,16 +22,15 @@ import warnings
 
 import numpy as np
 
-from .lattice import AdaptedMeasure
+from .lattice import AdaptedMeasure, GridMeasure, LatticeModel
 from .trees import InfoTree
 
 SUFFIX_WARN_STEPS = 10
 
 
 def _suffix_needs(payoff) -> tuple[bool, bool]:
-    full_path = getattr(payoff.path_mode, "name", str(payoff.path_mode)) == "FULL_PATH"
-    need_b = (not payoff.past_measure_only) or full_path
-    need_w = payoff.w_dependent and full_path
+    need_b = (not payoff.past_measure_only) or payoff.reads_full_path
+    need_w = payoff.w_dependent and payoff.reads_full_path
     return need_b, need_w
 
 
@@ -75,23 +74,31 @@ def layer_atoms(tree: InfoTree, k: int, w_dependent: bool):
     return atom_node, atom_b, atom_w, weight
 
 
-def layer_values(payoff, mu: AdaptedMeasure):
+def layer_values(payoff, lat: LatticeModel):
     """``f(k, b_ids, w_ids, cdf)``: payoff values at date ``k`` of the
     atoms with common path ids ``b_ids`` and idiosyncratic path ids
-    ``w_ids``, against crowd ``mu`` (``cdf`` is ``mu.cdf``).
+    ``w_ids``, against the crowd whose CDF along common path ``b`` is
+    row ``b`` of ``cdf``.
 
     This is the payoff's ``evaluate_layer`` when it has one; otherwise a
     scalar adapter calls ``evaluate`` per atom, with the atom's path rows
-    and ``mu.grid_measure(b)``, whose CDF is row ``b`` of ``mu.cdf``.
+    and ``GridMeasure.from_cdf(cdf[b])``, built once per distinct row.
     """
     if payoff.evaluate_layer is not None:
         return payoff.evaluate_layer
     ev = payoff.evaluate
-    bvals, wvals = mu.lat.b_values, mu.lat.w_values
+    bvals, wvals = lat.b_values, lat.w_values
+    rows = {}  # measures by CDF row bytes: a law has few distinct rows
 
     def adapter(k, b_ids, w_ids, cdf):
-        return np.array([ev(bvals[b], wvals[w], mu.grid_measure(b), k)
-                         for b, w in zip(b_ids.tolist(), w_ids.tolist())], dtype=float)
+        out = []
+        for b, w in zip(b_ids.tolist(), w_ids.tolist()):
+            row = cdf[b]
+            m = rows.get(row.tobytes())
+            if m is None:
+                m = rows[row.tobytes()] = GridMeasure.from_cdf(row)
+            out.append(ev(bvals[b], wvals[w], m, k))
+        return np.array(out, dtype=float)
 
     return adapter
 
@@ -109,7 +116,7 @@ def stop_reward_layers(payoff, mu: AdaptedMeasure, tree: InfoTree) -> list[np.nd
         warnings.warn(
             f"payoff reads future paths: suffix enumeration is exponential "
             f"and the lattice has {lat.steps} > {SUFFIX_WARN_STEPS} steps")
-    values = layer_values(payoff, mu)
+    values = layer_values(payoff, lat)
     layers = []
     for k in range(lat.steps + 1):
         shift = lat.steps - k

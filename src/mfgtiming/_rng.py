@@ -4,6 +4,12 @@ One 64-bit master seed; the stream for any unit of work is
 ``default_rng(SeedSequence(master, spawn_key=(stream, *indices)))``.
 Streams are independent of execution order, so results are identical
 under any parallel schedule.
+
+The Monte Carlo deviation planner keys ``STREAM_DEV_PLAN`` by ``(n, k,
+prefix)`` for payoffs that read only the crowd mass strictly before the
+date (the date and the common-path prefix before it), and by ``(n, b)``,
+the whole common path, for any other payoff.  The profile-value and
+convergence streams are keyed by ``(n, sample)``.
 """
 
 from __future__ import annotations

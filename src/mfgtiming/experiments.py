@@ -36,6 +36,9 @@ from .trees import (InfoTree, SignalModel, StoppingRule, build_signal_tree,
                     conditional_law, full_tree, public_tree)
 
 _NUMBER = {"type": "number"}
+_LIQUIDATION_PRESETS = ("linear", "sqrt")
+_PHI_PRESETS = ("zero", "relu", "affine", "neg_part", "concave_ramp")
+_F_PRESETS = ("identity_y", "common_plus_y")
 
 
 def _payoff_kind(kind: str, required: tuple = (), **fields) -> dict:
@@ -76,12 +79,14 @@ CONFIG_SCHEMA: dict = {
                 _payoff_kind("bankrun", ("rbar", "r"), rbar=_NUMBER, r=_NUMBER,
                              d0=_NUMBER, liquidation={
                                  "type": "object", "additionalProperties": False,
-                                 "properties": {"preset": {"type": "string"},
-                                                "a": _NUMBER, "c": _NUMBER}}),
+                                 "properties": {
+                                     "preset": {"enum": list(_LIQUIDATION_PRESETS)},
+                                     "a": _NUMBER, "c": _NUMBER}}),
                 _payoff_kind("crowd_discount", ("r", "c"), r=_NUMBER, c=_NUMBER),
-                _payoff_kind("diffusion", f={"type": "string"}, f_bound=_NUMBER, phi={
+                _payoff_kind("diffusion", f={"enum": list(_F_PRESETS)}, f_bound=_NUMBER, phi={
                     "type": "object", "additionalProperties": False,
-                    "properties": {"preset": {"type": "string"}, "scale": _NUMBER}}),
+                    "properties": {"preset": {"enum": list(_PHI_PRESETS)},
+                                   "scale": _NUMBER}}),
                 _payoff_kind("constant", value=_NUMBER),
                 _payoff_kind("crowd_fraction"),
             ],
@@ -125,11 +130,6 @@ CONFIG_SCHEMA: dict = {
     },
 }
 
-_LIQUIDATION_PRESETS = ("linear", "sqrt")
-_PHI_PRESETS = ("zero", "relu", "affine", "neg_part", "concave_ramp")
-_F_PRESETS = ("identity_y", "common_plus_y")
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration, with a JSON-path message."""
 
@@ -169,8 +169,6 @@ def validate_config(config: dict) -> None:
 
 def _make_liquidation(cfg: dict) -> Callable[[float], float]:
     preset = cfg.get("preset", "linear")
-    if preset not in _LIQUIDATION_PRESETS:
-        raise ConfigError(f"$.payoff.liquidation.preset: unknown preset {preset!r}")
     a = float(cfg.get("a", 0.5))
     c = float(cfg.get("c", 0.0))
     if preset == "linear":
@@ -180,8 +178,6 @@ def _make_liquidation(cfg: dict) -> Callable[[float], float]:
 
 def _make_phi(cfg: dict, lat: LatticeModel) -> Callable[[float], float]:
     preset = cfg.get("preset", "affine")
-    if preset not in _PHI_PRESETS:
-        raise ConfigError(f"$.payoff.phi.preset: unknown preset {preset!r}")
     scale = float(cfg.get("scale", 1.0))
     horizon = lat.horizon
     if preset == "zero":
@@ -214,10 +210,7 @@ def build_payoff(config: dict, lat: LatticeModel) -> PayoffSpec:
     if kind == "diffusion":
         phi = _make_phi(cfg.get("phi", {}), lat)
         phi_max = max(abs(phi(float(u) * lat.dt)) for u in range(-lat.steps, lat.steps + 1))
-        f_name = cfg.get("f", "identity_y")
-        if f_name not in _F_PRESETS:
-            raise ConfigError(f"$.payoff.f: unknown preset {f_name!r}")
-        if f_name == "identity_y":
+        if cfg.get("f", "identity_y") == "identity_y":
             f = lambda x, y, t: y
             bound = max(phi_max, 1e-9)
         else:

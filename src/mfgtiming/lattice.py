@@ -229,7 +229,7 @@ class AdaptedMeasure:
     checked exactly (bit for bit) at construction.
     """
 
-    __slots__ = ("lat", "cdf", "_rows")
+    __slots__ = ("lat", "cdf")
 
     def __init__(self, lat: LatticeModel, cdf: np.ndarray, _validated: bool = False):
         cdf = np.asarray(cdf, dtype=float)
@@ -246,20 +246,9 @@ class AdaptedMeasure:
         cdf.setflags(write=False)
         object.__setattr__(self, "lat", lat)
         object.__setattr__(self, "cdf", cdf)
-        object.__setattr__(self, "_rows", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("AdaptedMeasure is immutable")
-
-    def grid_measure(self, b_id: int) -> GridMeasure:
-        """Distribution over stop dates along common path ``b_id``; its CDF
-        is row ``b_id`` of ``cdf``, bit for bit."""
-        b_id = int(b_id)
-        row = self._rows.get(b_id)
-        if row is None:
-            row = GridMeasure.from_cdf(self.cdf[b_id])
-            self._rows[b_id] = row  # idempotent write, safe under races
-        return row
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AdaptedMeasure)

@@ -6,11 +6,14 @@ Against that profile we compute player 1's expected payoff, the best
 unilateral deviation value, and their gap (the epsilon of approximate
 Nash), either exactly or by seeded Monte Carlo.
 
-Exact computation leans on conditional independence: given the common
-path, the other players' stopping dates are i.i.d. with the rule's
-conditional law, so for payoffs that read only the crowd mass strictly
-before the stopping date the crowd reduces to a binomial count (the
-deviator's own simultaneous atom never enters a half-open read).
+One crowd model serves every method.  Given the common path, the other
+players' dates are i.i.d. with the rule's conditional law; a crowd gives
+each atom weighted rows of their date counts, from a binomial (payoffs
+that read the mass strictly before the date, which the deviator's own
+simultaneous atom never enters), from count multisets (other payoffs,
+small n) or from seeded draws.  The field payoff adds the deviator's
+date to each row and reads it through the payoff's layer kernel, as the
+Monte Carlo profile value does for each sample.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from scipy import stats
 
 from ._rng import (STREAM_CONVERGE, STREAM_DEV_EVAL, STREAM_DEV_PLAN,
                    STREAM_EQ_VALUE, derive_rng)
-from .lattice import AdaptedMeasure, GridMeasure, LatticeModel
-from .payoffs import MeasureMode, PathMode, PayoffSpec, evaluate_J
+from ._expect import layer_values
+from .lattice import AdaptedMeasure, LatticeModel
+from .payoffs import MeasureMode, PayoffSpec, evaluate_J
 from .snell import snell_solve
 from .trees import StoppingRule, conditional_law
 
@@ -71,7 +75,7 @@ class DeviationReport:
 
 
 # ---------------------------------------------------------------------------
-# exact crowd integration, half-open CDF payoffs
+# the crowd model
 # ---------------------------------------------------------------------------
 
 
@@ -93,133 +97,27 @@ def _binomial_weights(m: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     return js[keep], ws[keep]
 
 
-def _mass_before(lat: LatticeModel, x: float) -> np.ndarray:
-    """Mass vector of a measure whose mass strictly before every positive
-    date is x."""
-    mass = np.zeros(lat.steps + 1)
-    mass[0] = x
-    mass[-1] += 1.0 - x
-    return mass
-
-
-def _field_payoff_cdf(payoff: PayoffSpec, law: AdaptedMeasure, n: int,
-                      lat: LatticeModel) -> PayoffSpec:
-    """Single-agent payoff with the other n-1 players integrated out.
-
-    Valid only for half-open CDF payoffs: the crowd enters through the
-    mass strictly before the date, which given the common path is
-    ``J/n`` with ``J ~ Binomial(n-1, law[0, t))``; the agent's own atom
-    is simultaneous and therefore excluded.
-
-    When the payoff has a layer kernel, so does the field payoff: atoms
-    are grouped by their ``q = law[0, t)``, and each group sums the pmf
-    times the payoff's kernel against the crowd ``J/n``, term by term in
-    the scalar evaluator's order.  The crowd is read from ``law``; the
-    ``cdf`` argument (the measure being solved against) is ignored, as
-    the scalar evaluator ignores its measure.
-    """
-    cdf = law.cdf
-    cache: dict[int, GridMeasure] = {}
-    rows: dict[int, np.ndarray] = {}
-
-    def crowd_measure(j: int) -> GridMeasure:
-        m = cache.get(j)
-        if m is None:
-            m = GridMeasure(_mass_before(lat, j / n))
-            cache[j] = m
-        return m
-
-    def crowd_cdf(j: int) -> np.ndarray:
-        """The CDF of ``crowd_measure(j)`` as every common path's row."""
-        row = rows.get(j)
-        if row is None:
-            row = np.broadcast_to(np.cumsum(_mass_before(lat, j / n)), cdf.shape)
-            rows[j] = row
-        return row
-
-    def evaluate(b, w, m, k):
-        bid = lat.path_id_from_values(b)
-        q = float(cdf[bid, k - 1]) if k > 0 else 0.0
-        js, ws = _binomial_weights(n - 1, q)
-        acc = 0.0
-        for j, pj in zip(js, ws):
-            acc += pj * payoff.evaluate(b, w, crowd_measure(int(j)), k)
-        return acc
-
-    inner = payoff.evaluate_layer
-
-    def evaluate_layer(k, b_ids, w_ids, _cdf):
-        q = cdf[b_ids, k - 1] if k > 0 else np.zeros(len(b_ids))
-        qs, group = np.unique(q, return_inverse=True)
-        out = np.empty(len(b_ids))
-        for g, qg in enumerate(qs.tolist()):
-            at = np.nonzero(group == g)[0]
-            bg, wg = b_ids[at], w_ids[at]
-            acc = np.zeros(len(at))
-            js, ws = _binomial_weights(n - 1, qg)
-            for j, pj in zip(js.tolist(), ws):
-                acc += pj * inner(k, bg, wg, crowd_cdf(j))
-            out[at] = acc
-        return out
-
-    return PayoffSpec(evaluate, MeasureMode.CDF_AT_T, PathMode.PREFIX_TO_T,
-                      bound=payoff.bound, w_dependent=payoff.w_dependent,
-                      label=f"{payoff.label}|field(n={n})",
-                      evaluate_layer=evaluate_layer if inner is not None else None)
-
-
-# ---------------------------------------------------------------------------
-# exact crowd integration, general payoffs (small n)
-# ---------------------------------------------------------------------------
-
-
-def _multiset_distribution(mass: np.ndarray, m: int):
-    """All date-count vectors of m i.i.d. draws, with multinomial weights."""
+def _multiset_rows(mass: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """All date-count rows of m i.i.d. draws, with multinomial weights."""
     support = np.nonzero(mass > 0)[0]
-    out = []
+    weights, rows = [], []
     fact_m = math.factorial(m)
     for combo in itertools.combinations_with_replacement(support, m):
         counts = np.bincount(np.array(combo, dtype=np.int64), minlength=len(mass))
         weight = fact_m
         for c in counts[support]:
             weight //= math.factorial(int(c))
-        prob = float(weight) * float(np.prod(mass[support] ** counts[support]))
-        out.append((counts, prob))
-    return out
+        weights.append(float(weight) * float(np.prod(mass[support] ** counts[support])))
+        rows.append(counts)
+    return np.array(weights), np.array(rows)
 
 
-def _field_payoff_general(payoff: PayoffSpec, law: AdaptedMeasure, n: int,
-                          lat: LatticeModel) -> PayoffSpec:
-    """Like :func:`_field_payoff_cdf` but with the full empirical measure.
-
-    The others' dates are enumerated as count multisets given the whole
-    common path, so the wrapped payoff must be treated as reading future
-    information (no past-only collapse).
-    """
-    msets: dict[int, list] = {}
-
-    def others(bid: int):
-        got = msets.get(bid)
-        if got is None:
-            got = _multiset_distribution(law.grid_measure(bid).mass, n - 1)
-            msets[bid] = got
-        return got
-
-    def evaluate(b, w, m, k):
-        bid = lat.path_id_from_values(b)
-        acc = 0.0
-        for counts, prob in others(bid):
-            if prob == 0.0:
-                continue
-            full = counts.astype(float)
-            full[k] += 1.0
-            acc += prob * payoff.evaluate(b, w, GridMeasure(full / n), k)
-        return acc
-
-    return PayoffSpec(evaluate, MeasureMode.GENERAL, payoff.path_mode,
-                      bound=payoff.bound, w_dependent=payoff.w_dependent,
-                      measure_past_only=False,
-                      label=f"{payoff.label}|field(n={n})")
+def _crowd_cdfs(counts: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The empirical CDF of n players: the others' date counts (one row
+    each) plus the deviator's unit at date ``k``, over ``n``."""
+    full = np.array(counts, dtype=float)
+    full[..., k] += 1.0
+    return np.cumsum(full / n, axis=-1)
 
 
 def exact_tractable(payoff: PayoffSpec, n: int) -> bool:
@@ -229,14 +127,106 @@ def exact_tractable(payoff: PayoffSpec, n: int) -> bool:
     return payoff.measure_mode is MeasureMode.CDF_AT_T or n <= EXACT_GENERAL_CAP
 
 
-def _field_payoff(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
-                  law: Optional[AdaptedMeasure] = None) -> PayoffSpec:
-    if not exact_tractable(payoff, prof.n):
+def _exact_crowd(payoff: PayoffSpec, n: int, law: AdaptedMeasure):
+    """The other n-1 players integrated out exactly against ``law``.
+
+    A half-open payoff reads only the count before the date, which is
+    Binomial(n-1, q) with ``q = law[b, k-1]``: the crowd is keyed by q,
+    and its rows put that count at date 0 and the rest at the horizon.
+    Any other payoff reads the whole crowd: count multisets of the law
+    along the whole common path, keyed by the path.
+    """
+    if not exact_tractable(payoff, n):
         raise ValueError("exact intractable, use MonteCarlo")
-    law = law if law is not None else conditional_law(prof.rule)
-    if payoff.measure_mode is MeasureMode.CDF_AT_T:
-        return _field_payoff_cdf(payoff, law, prof.n, lat)
-    return _field_payoff_general(payoff, law, prof.n, lat)
+    if payoff.measure_mode is not MeasureMode.CDF_AT_T:
+        return (lambda k, b_ids: b_ids,
+                lambda b: _multiset_rows(np.diff(law.cdf[b], prepend=0.0), n - 1))
+    K = law.lat.steps
+
+    def key(k, b_ids):
+        return law.cdf[b_ids, k - 1] if k > 0 else np.zeros(len(b_ids))
+
+    def rows(q):
+        js, ws = _binomial_weights(n - 1, q)
+        counts = np.zeros((len(js), K + 1), dtype=np.int64)
+        counts[:, 0] = js
+        counts[:, K] += n - 1 - js
+        return ws, counts
+
+    return key, rows
+
+
+def _sampled_crowd(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
+                   mc: MonteCarlo):
+    """The other n-1 players as ``mc.samples`` seeded draws of their
+    idiosyncratic paths, equal rows merged.
+
+    A half-open payoff reads only the past: the draws are keyed by the
+    date k and the common prefix before it, and count the players
+    stopped before k (at date 0) against the rest (at the horizon).  Any
+    other payoff keys them by the whole common path.
+    """
+    steps = prof.rule.stop_steps()
+    n, K, npaths = prof.n, lat.steps, lat.num_paths
+    half_open = payoff.measure_mode is MeasureMode.CDF_AT_T
+
+    def key(k, b_ids):
+        if not half_open:
+            return b_ids
+        return k * npaths + (b_ids & ((1 << max(k - 1, 0)) - 1))
+
+    def rows(crowd_key):
+        k, b = divmod(crowd_key, npaths)
+        spawn = (n, k, b) if half_open else (n, b)
+        rng = derive_rng(mc.seed, STREAM_DEV_PLAN, *spawn)
+        dates = _steps_row(steps, b, rng.integers(npaths, size=(mc.samples, n - 1)))
+        if half_open:
+            dates = np.where(dates < k, 0, K)
+        flat = dates + (K + 1) * np.arange(mc.samples)[:, None]  # one date block per draw
+        counts = np.bincount(flat.ravel(), minlength=mc.samples * (K + 1)).reshape(-1, K + 1)
+        counts, hits = np.unique(counts, axis=0, return_counts=True)
+        return hits / mc.samples, counts
+
+    return key, rows
+
+
+def _field_payoff(payoff: PayoffSpec, n: int, lat: LatticeModel, crowd) -> PayoffSpec:
+    """Player 1's payoff with the other n-1 players integrated out.
+
+    ``crowd`` is a pair: ``key(k, b_ids)`` gives each atom's crowd key,
+    and ``rows(key)`` that crowd's weights and the others' date-count
+    rows.  Each row with the deviator's unit at ``k`` is one crowd CDF,
+    the same on every common path; the value is the weighted sum of the
+    payoff's layer values (kernel or scalar adapter) against them, added
+    in row order.  The crowd is read from ``crowd``, so the ``cdf``
+    argument (the measure being solved against) is ignored.
+    """
+    key, rows = crowd
+    shape = (lat.num_paths, lat.steps + 1)
+    cache: dict = {}
+
+    def evaluate_layer(k, b_ids, w_ids, _cdf):
+        values = layer_values(payoff, lat)
+        keys, group = np.unique(key(k, b_ids), return_inverse=True)
+        out = np.empty(len(b_ids))
+        for g, crowd_key in enumerate(keys.tolist()):
+            at = np.nonzero(group == g)[0]
+            got = cache.get(crowd_key)
+            if got is None:
+                got = cache[crowd_key] = rows(crowd_key)
+            weights, counts = got
+            acc = np.zeros(len(at))
+            for weight, cdf in zip(weights.tolist(), _crowd_cdfs(counts, k, n)):
+                acc += weight * values(k, b_ids[at], w_ids[at], np.broadcast_to(cdf, shape))
+            out[at] = acc
+        return out
+
+    half_open = payoff.measure_mode is MeasureMode.CDF_AT_T
+    return PayoffSpec(None, MeasureMode.CDF_AT_T if half_open else MeasureMode.GENERAL,
+                      payoff.path_mode, bound=payoff.bound,
+                      w_dependent=payoff.w_dependent,
+                      label=f"{payoff.label}|field(n={n})",
+                      evaluate_layer=evaluate_layer)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +236,7 @@ def _field_payoff(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
 
 def _steps_row(steps: np.ndarray, b: int, wids: np.ndarray) -> np.ndarray:
     if steps.shape[1] == 1:
-        return np.full(len(wids), steps[b, 0], dtype=np.int64)
+        return np.full(np.shape(wids), steps[b, 0], dtype=np.int64)
     return steps[b, wids].astype(np.int64)
 
 
@@ -258,58 +248,20 @@ def _mc_profile_value(payoff: PayoffSpec, prof: NPlayerProfile,
     steps = prof.rule.stop_steps()
     dev_steps = deviator_rule.stop_steps() if deviator_rule is not None else steps
     npaths = lat.num_paths
-    bvals, wvals = lat.b_values, lat.w_values
+    shape = (npaths, lat.steps + 1)
+    values = layer_values(payoff, lat)
     vals = np.empty(mc.samples)
     for s in range(mc.samples):
         rng = derive_rng(mc.seed, stream, prof.n, s)
         b = int(rng.integers(npaths))
         wids = rng.integers(npaths, size=prof.n)
         own = int(_steps_row(dev_steps, b, wids[:1])[0])
-        rest = _steps_row(steps, b, wids[1:])
-        counts = np.bincount(rest, minlength=lat.steps + 1).astype(float)
-        counts[own] += 1.0
-        m = GridMeasure(counts / prof.n)
-        vals[s] = payoff.evaluate(bvals[b], wvals[int(wids[0])], m, own)
+        counts = np.bincount(_steps_row(steps, b, wids[1:]), minlength=lat.steps + 1)
+        cdf = np.broadcast_to(_crowd_cdfs(counts, own, prof.n), shape)
+        vals[s] = values(own, np.array([b]), wids[:1], cdf)[0]
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(mc.samples)) if mc.samples > 1 else 0.0
     return mean, se
-
-
-def _mc_plan_payoff(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
-                    mc: MonteCarlo) -> PayoffSpec:
-    """Noisy field payoff for planning a deviation: the others' crowd is
-    replaced by a per-common-path batch of sampled count vectors
-    (deterministic in the seed and the path)."""
-    steps = prof.rule.stop_steps()
-    npaths = lat.num_paths
-    batches: dict[int, list[np.ndarray]] = {}
-
-    def batch(bid: int) -> list[np.ndarray]:
-        got = batches.get(bid)
-        if got is None:
-            rng = derive_rng(mc.seed, STREAM_DEV_PLAN, prof.n, bid)
-            got = []
-            for _ in range(mc.samples):
-                wids = rng.integers(npaths, size=prof.n - 1)
-                got.append(np.bincount(_steps_row(steps, bid, wids),
-                                       minlength=lat.steps + 1).astype(float))
-            batches[bid] = got
-        return got
-
-    def evaluate(b, w, m, k):
-        bid = lat.path_id_from_values(b)
-        acc = 0.0
-        draws = batch(bid)
-        for counts in draws:
-            full = counts.copy()
-            full[k] += 1.0
-            acc += payoff.evaluate(b, w, GridMeasure(full / prof.n), k)
-        return acc / len(draws)
-
-    return PayoffSpec(evaluate, MeasureMode.GENERAL, payoff.path_mode,
-                      bound=payoff.bound, w_dependent=payoff.w_dependent,
-                      measure_past_only=False,
-                      label=f"{payoff.label}|field-mc(n={prof.n})")
 
 
 # ---------------------------------------------------------------------------
@@ -327,52 +279,48 @@ def equilibrium_value(payoff: PayoffSpec, prof: NPlayerProfile,
     if isinstance(method, MonteCarlo):
         return _mc_profile_value(payoff, prof, lat, method, STREAM_EQ_VALUE)[0]
     law = conditional_law(prof.rule)
-    field = _field_payoff(payoff, prof, lat, law)
+    field = _field_payoff(payoff, prof.n, lat, _exact_crowd(payoff, prof.n, law))
     return evaluate_J(field, law, prof.rule, lat)
 
 
-def _best_deviation_mc(payoff: PayoffSpec, prof: NPlayerProfile,
-                       lat: LatticeModel, mc: MonteCarlo
-                       ) -> tuple[float, StoppingRule, float]:
-    """Plan on sampled crowds, then re-evaluate the planned rule on
-    fresh samples (unbiased for that rule, hence a slightly conservative
-    deviation value)."""
-    plan = _mc_plan_payoff(payoff, prof, lat, mc)
+def _best_deviation(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
+                    method) -> tuple[float, StoppingRule, Optional[float]]:
+    """Solve the deviator's stopping problem against the integrated crowd,
+    by backward induction on the deviator's own tree.  A Monte Carlo
+    plan on sampled crowds is then re-evaluated on fresh samples
+    (unbiased for that rule, hence a slightly conservative deviation
+    value), with its standard error."""
     law = conditional_law(prof.rule)
-    rule = snell_solve(plan, law, prof.rule.tree, lat).rule_min
-    value, se = _mc_profile_value(payoff, prof, lat, mc, STREAM_DEV_EVAL,
-                                  deviator_rule=rule)
-    return value, rule, se
+    if isinstance(method, MonteCarlo):
+        crowd = _sampled_crowd(payoff, prof, lat, method)
+    else:
+        crowd = _exact_crowd(payoff, prof.n, law)
+    sol = snell_solve(_field_payoff(payoff, prof.n, lat, crowd), law, prof.rule.tree, lat)
+    if not isinstance(method, MonteCarlo):
+        return sol.value, sol.rule_min, None
+    value, se = _mc_profile_value(payoff, prof, lat, method, STREAM_DEV_EVAL,
+                                  deviator_rule=sol.rule_min)
+    return value, sol.rule_min, se
 
 
 def best_deviation(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
                    method) -> tuple[float, StoppingRule]:
-    """Optimal unilateral deviation value and a rule achieving it.
-
-    Exact: solve the deviator's stopping problem against the integrated
-    crowd, by backward induction on the deviator's own tree.
-    """
-    if isinstance(method, MonteCarlo):
-        value, rule, _ = _best_deviation_mc(payoff, prof, lat, method)
-        return value, rule
-    law = conditional_law(prof.rule)
-    field = _field_payoff(payoff, prof, lat, law)
-    sol = snell_solve(field, law, prof.rule.tree, lat)
-    return sol.value, sol.rule_min
+    """Optimal unilateral deviation value and a rule achieving it."""
+    value, rule, _ = _best_deviation(payoff, prof, lat, method)
+    return value, rule
 
 
 def estimate_epsilon(payoff: PayoffSpec, mfe_rule: StoppingRule, n: int,
                      lat: LatticeModel, method) -> DeviationReport:
     """Assemble the profile and report its approximate-Nash gap."""
     prof = NPlayerProfile(n, mfe_rule)
+    dev, _, se_dev = _best_deviation(payoff, prof, lat, method)
     if isinstance(method, MonteCarlo):
         eq, se_eq = _mc_profile_value(payoff, prof, lat, method, STREAM_EQ_VALUE)
-        dev, _, se_dev = _best_deviation_mc(payoff, prof, lat, method)
         stderr = math.hypot(se_eq, se_dev)
         label = f"monte_carlo(samples={method.samples}, seed={method.seed})"
     else:
         eq = equilibrium_value(payoff, prof, lat, method)
-        dev, _ = best_deviation(payoff, prof, lat, method)
         stderr = None
         label = "exact"
     return DeviationReport(n, eq, dev, max(0.0, dev - eq), label, stderr)

@@ -25,8 +25,11 @@ must equal ``evaluate``'s bit for bit, with row ``b`` standing for the
 crowd measure, and it must not call ``evaluate``.  The engine calls the
 kernel once per layer; a payoff without one (``evaluate_layer=None``,
 the default for user payoffs) goes through a scalar adapter that calls
-``evaluate`` once per atom.  The bank-run, crowd-fraction and constant
-payoffs have kernels; the diffusion and crowd-discount payoffs do not.
+``evaluate`` once per atom, with ``GridMeasure.from_cdf(cdf[b])`` as
+the crowd.  A payoff with a kernel may leave ``evaluate=None``, as the
+n-player field payoffs do; one with neither is rejected.  The bank-run,
+crowd-fraction and constant payoffs have kernels; the diffusion and
+crowd-discount payoffs do not.
 
 Evaluators must be pure; everything here is safe to call concurrently.
 """
@@ -65,7 +68,7 @@ class PathMode(enum.Enum):
 class PayoffSpec:
     """A pluggable objective with declared capabilities and bound."""
 
-    evaluate: Callable[[np.ndarray, np.ndarray, GridMeasure, int], float]
+    evaluate: Optional[Callable[[np.ndarray, np.ndarray, GridMeasure, int], float]]
     measure_mode: MeasureMode
     path_mode: PathMode
     bound: float
@@ -78,10 +81,16 @@ class PayoffSpec:
     def __post_init__(self):
         if self.bound <= 0:
             raise ValueError("bound must be positive")
+        if self.evaluate is None and self.evaluate_layer is None:
+            raise ValueError("a payoff needs evaluate or evaluate_layer")
 
     @property
     def past_measure_only(self) -> bool:
         return self.measure_mode is MeasureMode.CDF_AT_T or self.measure_past_only
+
+    @property
+    def reads_full_path(self) -> bool:
+        return self.path_mode is PathMode.FULL_PATH
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +286,7 @@ def evaluate_J(payoff: PayoffSpec, mu: AdaptedMeasure, rule: StoppingRule,
         b_ids, dates = np.divmod(cells, kk)
         w_ids = np.zeros(len(cells), dtype=np.int64)
         counts = table[cells]
-    values = layer_values(payoff, mu)
+    values = layer_values(payoff, lat)
     vals = np.empty(len(dates))
     for k in np.unique(dates).tolist():
         at = np.nonzero(dates == k)[0]

@@ -8,9 +8,9 @@ report fewer per-layer metrics than it declares.  This test installs the
 tracer in a fresh process (it rebinds module attributes, so it must not
 run inside the test process), runs one small config of every task kind
 the benchmark uses, and requires every binding and every metric.  The
-same traced runs guard the payoff kernels: solving, checking and exact
-n-player integration of the bank run make no scalar payoff call and
-build no ``GridMeasure``.  The self-test runs ``perfbench/selftest.py``
+same traced runs guard the payoff kernels: solving, checking and the
+n-player tasks of the bank run make no scalar payoff call and build no
+``GridMeasure``.  The self-test runs ``perfbench/selftest.py``
 as a user would, from the root of the checkout.
 """
 
@@ -78,12 +78,16 @@ def test_tracer_finds_every_binding_and_metric(tmp_path):
 
 
 def test_bankrun_tasks_run_on_the_payoff_kernels(tmp_path):
-    """Stop rewards, ``evaluate_J`` and the exact n-player crowd reach the
-    bank run's layer kernel, never its scalar ``evaluate``."""
+    """Stop rewards, ``evaluate_J`` and every n-player crowd (exact,
+    sampled, and the Monte Carlo profile value) reach the bank run's
+    layer kernel, never its scalar ``evaluate``."""
     got = traced([
         config({"kind": "solve-mfe"}),
         config({"kind": "check", "trials": 5, "submartingale_pairs": 1}),
         config({"kind": "eps-nash", "n_list": [2, 4], "method": "exact"}, "signal"),
+        config({"kind": "eps-nash", "n_list": [2, 4], "method": "monte-carlo",
+                "samples": 20}, "signal"),
+        config({"kind": "converge", "n_list": [2, 4], "samples": 20}, "signal"),
     ], tmp_path)
     assert got["missing"] == []
     assert got["metrics"]["payoffs.evaluations"] == 0

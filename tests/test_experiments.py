@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,19 @@ def test_cli_unknown_diffusion_phi_key_names_path(tmp_path, capsys):
     cfg = base_config(payoff={"kind": "diffusion", "f": "identity_y",
                               "phi": {"preset": "relu", "scael": 2.0}})
     _cli_rejects(tmp_path, capsys, cfg, "$.payoff.phi:", "'scael'")
+
+
+@pytest.mark.parametrize("payoff, path", [
+    ({"kind": "bankrun", "rbar": 0.1, "r": 0.0, "liquidation": {"preset": "cubic"}},
+     "$.payoff.liquidation.preset:"),
+    ({"kind": "diffusion", "phi": {"preset": "concave"}}, "$.payoff.phi.preset:"),
+    ({"kind": "diffusion", "f": "identity"}, "$.payoff.f:"),
+])
+def test_cli_unknown_preset_names_path(tmp_path, capsys, payoff, path):
+    """A preset name the builders do not know fails validation, before the run."""
+    _cli_rejects(tmp_path, capsys, base_config(payoff=payoff), path, "is not one of")
+    with pytest.raises(m.ConfigError, match=re.escape(path)):
+        m.validate_config(base_config(payoff=payoff))
 
 
 def test_cli_non_object_task_names_path(tmp_path, capsys):

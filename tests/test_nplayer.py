@@ -148,6 +148,22 @@ def test_monte_carlo_agrees_with_exact_general_payoff():
     assert mc.best_dev_value >= ex.best_dev_value - 4 * mc.stderr
 
 
+@pytest.mark.parametrize("info", ["public", "signal"])
+def test_monte_carlo_plan_equals_exact_best_deviation(info):
+    """With 2,000 sampled crowds per key, the planned deviation rule is
+    the exact best deviation on the K=4 bank run."""
+    lat = m.build_lattice(4, 0.5, 3.0, 1.0, 1.0)
+    tree = m.public_tree(lat) if info == "public" \
+        else m.build_signal_tree(lat, m.SignalModel(1.0))
+    F = m.bankrun_payoff(m.BankRunParams(rbar=0.1, r=0.0, liquidation=half_liq), lat)
+    rule = m.solve_mfe(F, tree, lat).rule_max
+    for n in (2, 4, 16):
+        prof = m.NPlayerProfile(n, rule)
+        _, exact_rule = m.best_deviation(F, prof, lat, m.Exact())
+        _, planned = m.best_deviation(F, prof, lat, m.MonteCarlo(2000, seed=7))
+        assert planned == exact_rule
+
+
 def test_monte_carlo_deterministic_in_seed(lat, bankrun):
     rule = m.StoppingRule.stop_at(m.public_tree(lat), 1)
     a = m.estimate_epsilon(bankrun, rule, 6, lat, m.MonteCarlo(400, seed=5))

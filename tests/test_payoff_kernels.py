@@ -5,6 +5,8 @@ without goes through the scalar adapter, one ``evaluate`` call per atom.
 The adapter is the oracle: stop rewards and ``evaluate_J`` must come out
 bit for bit the same with the kernel as with ``evaluate_layer=None``, on
 every tree kind, on conditional laws and on non-dyadic adapted measures.
+The n-player field payoffs always have a kernel; their oracle is the
+field built on the inner payoff's scalar adapter.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import mfgtiming as m
 from mfgtiming._expect import stop_reward_layers
-from mfgtiming.nplayer import _field_payoff_cdf
+from mfgtiming.nplayer import _exact_crowd, _field_payoff
 
 
 def random_adapted_measure(lat, rng):
@@ -42,7 +44,7 @@ def test_grid_measure_rows_are_the_stored_cdf_rows():
     for _ in range(50):
         mu = random_adapted_measure(lat, rng)
         for b in range(lat.num_paths):
-            gm = mu.grid_measure(b)
+            gm = m.GridMeasure.from_cdf(mu.cdf[b])
             assert np.array_equal(gm.cdf, mu.cdf[b])
             assert np.array_equal(gm.mass, np.diff(mu.cdf[b], prepend=0.0))
 
@@ -67,7 +69,18 @@ def spot_times_noise(lat):
         - cdf[b_ids, k])
 
 
-def make_payoff(kind, lat, mu, params):
+def make_payoffs(kind, lat, mu, params):
+    """The payoff of ``kind`` and its oracle on the scalar adapter."""
+    if not kind.startswith("field-"):
+        payoff = make_payoff(kind, lat, params)
+        return payoff, dataclasses.replace(payoff, evaluate_layer=None)
+    inner, n = kind[len("field-"):].split(":")
+    inner = make_payoff(inner, lat, params)
+    return tuple(_field_payoff(p, int(n), lat, _exact_crowd(p, int(n), mu))
+                 for p in (inner, dataclasses.replace(inner, evaluate_layer=None)))
+
+
+def make_payoff(kind, lat, params):
     rbar, r, d0, a, c = params
     bankrun = m.BankRunParams(rbar=rbar, r=r, d0=d0,
                               liquidation=lambda x: max(a * x + c, 0.0))
@@ -81,10 +94,7 @@ def make_payoff(kind, lat, mu, params):
         return m.constant_payoff(d0, lat)
     if kind == "spot_times_noise":
         return spot_times_noise(lat)
-    inner, n = kind.split(":")
-    base = m.bankrun_payoff(bankrun, lat) if inner == "field-bankrun" \
-        else m.crowd_fraction_payoff(lat)
-    return _field_payoff_cdf(base, mu, int(n), lat)
+    return m.crowd_discount_payoff(m.CrowdDiscountParams(r=rbar, c=d0), lat)
 
 
 def make_tree(kind, lat):
@@ -97,7 +107,8 @@ def make_tree(kind, lat):
 
 PAYOFFS = ["bankrun", "bankrun-closed", "crowd_fraction", "constant", "spot_times_noise",
            "field-bankrun:1", "field-bankrun:2", "field-bankrun:5", "field-bankrun:300",
-           "field-crowd_fraction:5", "field-crowd_fraction:300"]
+           "field-crowd_fraction:5", "field-crowd_fraction:300",
+           "field-crowd_discount:2", "field-crowd_discount:4"]
 TREES = ["public", "full", "signal:0.5", "signal:1.0"]
 
 
@@ -120,18 +131,17 @@ def cases(draw):
     r = draw(_grid(0.0, 0.2, 0.05))
     params = (r + draw(_grid(0.01, 0.3, 0.01)), r, draw(_grid(0.5, 2.0, 0.25)),
               draw(_grid(0.1, 1.0, 0.1)), draw(_grid(-1.0, 0.5, 0.25)))
-    payoff = make_payoff(draw(st.sampled_from(PAYOFFS)), lat, mu, params)
+    payoff, scalar = make_payoffs(draw(st.sampled_from(PAYOFFS)), lat, mu, params)
     rule = m.random_rule(tree, rng, p_stop=float(rng.uniform(0.1, 0.6)))
-    return payoff, mu, tree, rule
+    return payoff, scalar, mu, tree, rule
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_kernel_equals_scalar_adapter(case):
-    payoff, mu, tree, rule = case
+    payoff, scalar, mu, tree, rule = case
     assert payoff.evaluate_layer is not None
-    scalar = dataclasses.replace(payoff, evaluate_layer=None)
     fast = stop_reward_layers(payoff, mu, tree)
     slow = stop_reward_layers(scalar, mu, tree)
     assert all(np.array_equal(f, s) for f, s in zip(fast, slow))
@@ -145,4 +155,11 @@ def test_field_payoff_without_inner_kernel_uses_the_adapter():
                         m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
                         bound=10.0, w_dependent=False)
     law = m.conditional_law(m.StoppingRule.stop_at(m.public_tree(lat), 1))
-    assert _field_payoff_cdf(spot, law, 4, lat).evaluate_layer is None
+    assert _field_payoff(spot, 4, lat, _exact_crowd(spot, 4, law)).evaluate_layer is not None
+
+
+def test_payoff_needs_evaluate_or_kernel():
+    m.PayoffSpec(None, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T, bound=1.0,
+                 evaluate_layer=lambda k, b_ids, w_ids, cdf: np.zeros(len(b_ids)))
+    with pytest.raises(ValueError, match="evaluate or evaluate_layer"):
+        m.PayoffSpec(None, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T, bound=1.0)

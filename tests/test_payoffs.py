@@ -67,7 +67,7 @@ def test_bankrun_monotone_in_crowd(lat):
     for _ in range(10):
         early, late = m.sample_ordered_measures(lat, rng, tree)
         for b in range(lat.num_paths):
-            me, ml = early.grid_measure(b), late.grid_measure(b)
+            me, ml = m.GridMeasure.from_cdf(early.cdf[b]), m.GridMeasure.from_cdf(late.cdf[b])
             for k in range(lat.steps + 1):
                 assert (F.evaluate(lat.b_values[b], lat.w_values[0], ml, k)
                         >= F.evaluate(lat.b_values[b], lat.w_values[0], me, k))
