@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ._rng import (STREAM_CONVERGE, STREAM_DEV_EVAL, STREAM_DEV_PLAN,
                    STREAM_EQ_VALUE, derive_rng)
@@ -35,6 +35,7 @@ from .snell import snell_solve
 from .trees import StoppingRule, conditional_law
 
 EXACT_GENERAL_CAP = 8
+CONVERGE_BLOCK_DRAWS = 1 << 19  # 2,000 samples of 256 players fit in one block
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def _binomial_weights(m: int, q: float) -> tuple[np.ndarray, np.ndarray]:
         lo = max(0, int(mean - 10 * sd - 1))
         hi = min(m, int(mean + 10 * sd + 1))
         js = np.arange(lo, hi + 1)
-    ws = stats.binom.pmf(js, m, q)
+    ws = special._ufuncs._binom_pmf(js, m, q)  # the ufunc behind scipy.stats.binom.pmf
     keep = ws > 1e-16
     return js[keep], ws[keep]
 
@@ -234,7 +235,7 @@ def _field_payoff(payoff: PayoffSpec, n: int, lat: LatticeModel, crowd) -> Payof
 # ---------------------------------------------------------------------------
 
 
-def _steps_row(steps: np.ndarray, b: int, wids: np.ndarray) -> np.ndarray:
+def _steps_row(steps: np.ndarray, b, wids: np.ndarray) -> np.ndarray:
     if steps.shape[1] == 1:
         return np.full(np.shape(wids), steps[b, 0], dtype=np.int64)
     return steps[b, wids].astype(np.int64)
@@ -333,7 +334,11 @@ def convergence_experiment(mfe_rule: StoppingRule, n_list: list[int],
 
     For each n, draw the common path and n idiosyncratic paths, form the
     empirical measure of the induced dates, and compare its CDF to the
-    rule's conditional law on that common path.
+    rule's conditional law on that common path.  Each sample keeps its
+    own stream; the distances are computed for a block of samples at
+    once and added in sample order.  A block holds at most
+    ``CONVERGE_BLOCK_DRAWS`` player draws, so memory does not grow with
+    ``samples``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -344,12 +349,19 @@ def convergence_experiment(mfe_rule: StoppingRule, n_list: list[int],
     rows = []
     for n in n_list:
         total = 0.0
-        for s in range(samples):
-            rng = derive_rng(seed, STREAM_CONVERGE, n, s)
-            b = int(rng.integers(npaths))
-            wids = rng.integers(npaths, size=n)
-            dates = _steps_row(steps, b, wids)
-            emp_cdf = np.cumsum(np.bincount(dates, minlength=kk)) / n
-            total += float(np.max(np.abs(emp_cdf - law.cdf[b])))
+        block = max(1, CONVERGE_BLOCK_DRAWS // n)
+        for start in range(0, samples, block):
+            count = min(block, samples - start)
+            bs = np.empty(count, dtype=np.int64)
+            wids = np.empty((count, n), dtype=np.int64)
+            for i in range(count):
+                rng = derive_rng(seed, STREAM_CONVERGE, n, start + i)
+                bs[i] = rng.integers(npaths)
+                wids[i] = rng.integers(npaths, size=n)
+            flat = _steps_row(steps, bs[:, None], wids) + kk * np.arange(count)[:, None]
+            counts = np.bincount(flat.ravel(), minlength=count * kk).reshape(count, kk)
+            emp_cdf = np.cumsum(counts, axis=1) / n
+            for dist in np.max(np.abs(emp_cdf - law.cdf[bs]), axis=1).tolist():
+                total += dist
         rows.append({"n": int(n), "mean_kolmogorov_distance": total / samples})
     return rows

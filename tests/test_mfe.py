@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mfgtiming as m
+from mfgtiming.mfe import VERIFY_TOL
 
 
 def half_liq(x):
@@ -179,3 +182,35 @@ def test_signal_tree_bankrun_equilibrium():
     assert v.is_mfe and v.gap <= 1e-9
     steps = res.rule_max.stop_steps()
     assert steps.shape == (lat.num_paths, lat.num_paths)
+
+
+@st.composite
+def bankrun_games(draw):
+    """A random bank run on the public tree (K <= 4) or the sigma=1 signal
+    tree (K <= 3)."""
+    public = draw(st.booleans())
+    steps = draw(st.integers(1, 4 if public else 3))
+    lat = m.build_lattice(steps, draw(st.sampled_from([0.25, 0.5, 1.0])),
+                          draw(st.sampled_from([0.5, 1.5, 3.0])),
+                          draw(st.sampled_from([0.5, 1.0, 2.0])),
+                          draw(st.sampled_from([0.5, 1.0, 2.0])))
+    tree = m.public_tree(lat) if public else m.build_signal_tree(lat, m.SignalModel(1.0))
+    r = draw(st.sampled_from([0.0, 0.05, 0.1]))
+    a, c = draw(st.sampled_from([0.2, 0.5, 1.0])), draw(st.sampled_from([-0.25, 0.0, 0.5]))
+    p = m.BankRunParams(rbar=r + draw(st.sampled_from([0.01, 0.1, 0.3])), r=r,
+                        liquidation=lambda x: max(a * x + c, 0.0),
+                        d0=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    return m.bankrun_payoff(p, lat), tree, lat
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bankrun_games())
+def test_verification_gap_nonnegative_at_both_bracket_ends(game):
+    F, tree, lat = game
+    res = m.solve_mfe(F, tree, lat)
+    for end in (res.top, res.bottom):
+        verified = m.verify_mfe(F, end.rule, tree, lat)
+        assert verified.gap >= -VERIFY_TOL
+        if end.converged:
+            assert end.verification == verified

@@ -1,10 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mfgtiming as m
+from mfgtiming._rng import STREAM_CONVERGE, derive_rng
+from mfgtiming.nplayer import CONVERGE_BLOCK_DRAWS, _binomial_weights
 
 
 def half_liq(x):
@@ -230,3 +236,74 @@ def test_convergence_experiment_distances_shrink():
     dists = [r["mean_kolmogorov_distance"] for r in rows]
     drops = sum(1 for i in range(len(dists) - 1) if dists[i + 1] <= dists[i])
     assert drops >= 4  # law-of-large-numbers trend, fixed seed
+
+
+def _convergence_one_sample_at_a_time(rule, n_list, samples, seed, lat):
+    """The Kolmogorov distances drawn and summed one sample at a time."""
+    steps, law = rule.stop_steps(), m.conditional_law(rule)
+    rows = []
+    for n in n_list:
+        total = 0.0
+        for s in range(samples):
+            rng = derive_rng(seed, STREAM_CONVERGE, n, s)
+            b = int(rng.integers(lat.num_paths))
+            wids = rng.integers(lat.num_paths, size=n)
+            dates = steps[b, wids % steps.shape[1]].astype(np.int64)
+            emp_cdf = np.cumsum(np.bincount(dates, minlength=lat.steps + 1)) / n
+            total += float(np.max(np.abs(emp_cdf - law.cdf[b])))
+        rows.append({"n": n, "mean_kolmogorov_distance": total / samples})
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["public", "full", "signal"])
+def test_convergence_experiment_equals_one_sample_at_a_time(kind):
+    lat = m.build_lattice(3, 0.5, 0.0, 1.0, 1.0)
+    tree = {"public": m.public_tree, "full": m.full_tree,
+            "signal": lambda la: m.build_signal_tree(la, m.SignalModel(1.0))}[kind](lat)
+    rng = np.random.default_rng(23)
+    n_list = [1, 3, 10, CONVERGE_BLOCK_DRAWS // 25]  # the last n takes three blocks
+    for _ in range(3):
+        rule = m.random_rule(tree, rng, p_stop=0.4)
+        want = _convergence_one_sample_at_a_time(rule, n_list, 60, 8, lat)
+        assert m.convergence_experiment(rule, n_list, 60, 8, lat) == want
+
+
+def _scipy_stats_binomial_weights(mm, q):
+    """The weights as ``scipy.stats.binom.pmf`` gives them, with the same
+    support window and trim as ``_binomial_weights``."""
+    from scipy import stats
+    if mm == 0 or q <= 0.0:
+        return np.array([0]), np.array([1.0])
+    if q >= 1.0:
+        return np.array([mm]), np.array([1.0])
+    js = np.arange(mm + 1)
+    if mm > 128:
+        mean, sd = mm * q, math.sqrt(mm * q * (1 - q))
+        js = np.arange(max(0, int(mean - 10 * sd - 1)), min(mm, int(mean + 10 * sd + 1)) + 1)
+    ws = stats.binom.pmf(js, mm, q)
+    return js[ws > 1e-16], ws[ws > 1e-16]
+
+
+def test_binomial_weights_equal_scipy_stats_bit_for_bit():
+    # the pmf ufunc is private to scipy.special; this pins it to the
+    # public scipy.stats.binom.pmf on dyadic, extreme and non-dyadic q
+    qs = [0.0, 1.0, 1 / 1024, 1 / 64, 0.125, 0.25, 0.375, 0.5, 0.6875, 0.75,
+          63 / 64, 1023 / 1024, 0.3, 1 / 3, np.float64(0.8125)]
+    for mm in [*range(130), 255, 1023, 10 ** 6 - 1]:
+        for q in qs:
+            js, ws = _binomial_weights(mm, q)
+            want_js, want_ws = _scipy_stats_binomial_weights(mm, q)
+            assert js.tolist() == want_js.tolist(), (mm, q)
+            assert ws.tobytes() == want_ws.tobytes(), (mm, q)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats would be most of every CLI process's start-up
+    src = str(Path(m.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mfgtiming; "
+            "print(sorted(n for n in sys.modules if n.split('.')[:2] == ['scipy', 'stats']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
