@@ -18,12 +18,11 @@ from .trees import (InfoTree, SignalModel, StoppingRule, build_signal_tree,
                     conditional_law, count_rules, enumerate_rules, full_tree,
                     public_tree, random_rule)
 from .payoffs import (BankRunParams, CheckReport, CrowdDiscountParams,
-                      DiffusionPayoffParams, MeasureMode, OrderViolation,
-                      PathMode, PayoffSpec, SubmartingaleReport,
-                      bankrun_payoff, check_increasing_differences,
-                      check_submartingale, constant_payoff,
-                      crowd_discount_payoff, crowd_fraction_payoff,
-                      diffusion_payoff, evaluate_J,
+                      DiffusionPayoffParams, OrderViolation, PayoffSpec,
+                      SubmartingaleReport, bankrun_payoff,
+                      check_increasing_differences, check_submartingale,
+                      constant_payoff, crowd_discount_payoff,
+                      crowd_fraction_payoff, diffusion_payoff, evaluate_J,
                       exhaustive_increasing_differences,
                       sample_ordered_measures, sample_ordered_rules)
 from .snell import (BruteForceResult, SnellSolution, brute_force_optimal,

@@ -3,11 +3,11 @@
 The reward of stopping at a node is the expectation of the payoff over
 everything the node does not reveal: the posterior over consistent
 observation prefixes, and, when the payoff genuinely reads them, the
-uniform independent suffixes of either path.  Capability flags on the
-payoff (w-dependence, whether the measure is only read on the past)
-decide how much of that averaging can be collapsed; the collapsed and
-uncollapsed computations agree exactly because the payoff is constant
-across the collapsed coordinates.
+uniform independent suffixes of either path.  The payoff's flags
+(``w_dependent``, ``reads_full_path``, ``past_measure_only``) decide how
+much of that averaging can be collapsed; the collapsed and uncollapsed
+computations agree exactly because the payoff is constant across the
+collapsed coordinates.
 
 Payoff values come a layer at a time from :func:`layer_values`: the
 payoff's array kernel ``evaluate_layer(k, b_ids, w_ids, cdf)`` when it

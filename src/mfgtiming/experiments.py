@@ -247,15 +247,12 @@ def build_lattice_from(config: dict) -> LatticeModel:
 
 
 def rule_payload(rule: StoppingRule) -> dict:
-    steps = rule.stop_steps()
-    out = {
+    """A rule as its stop decisions, one bit per tree node in node order."""
+    return {
         "tree": rule.tree.kind,
         "num_nodes": int(rule.tree.num_nodes),
         "decisions_hex": np.packbits(rule.decision).tobytes().hex(),
     }
-    if steps.shape[1] == 1:
-        out["stop_step_by_common_path"] = [int(s) for s in steps[:, 0]]
-    return out
 
 
 def law_payload(law: AdaptedMeasure) -> dict:
@@ -391,6 +388,7 @@ def _task_bankrun_demo(config, lat, payoff, tree) -> dict:
     res = solve_mfe(payoff, tree, lat, config["task"].get("max_iter"))
     return {
         "hitting_rule": rule_payload(hitting),
+        "stop_step_by_common_path": steps.tolist(),
         "expected_payoff": achieved,
         "full_recovery_oracle": oracle,
         "top_matches_hitting_rule": res.rule_max == hitting,
@@ -484,7 +482,7 @@ def _emit_csv(record: RunRecord) -> str:
             lines.append(f"{rep['passed']},{rep['trials']},{v['lhs']!r},{v['rhs']!r}")
     elif kind == "bankrun-demo":
         lines.append("b_path,stop_step")
-        for b, s in enumerate(res["hitting_rule"].get("stop_step_by_common_path", [])):
+        for b, s in enumerate(res["stop_step_by_common_path"]):
             lines.append(f"{b},{s}")
     return "\n".join(lines) + "\n"
 

@@ -231,18 +231,17 @@ class AdaptedMeasure:
 
     __slots__ = ("lat", "cdf")
 
-    def __init__(self, lat: LatticeModel, cdf: np.ndarray, _validated: bool = False):
+    def __init__(self, lat: LatticeModel, cdf: np.ndarray):
         cdf = np.asarray(cdf, dtype=float)
         if cdf.shape != (lat.num_paths, lat.steps + 1):
             raise ValueError("cdf must have shape (2**K, K+1)")
-        if not _validated:
-            if np.any(cdf < 0.0) or np.any(cdf > 1.0):
-                raise ValueError("cdf values must lie in [0, 1]")
-            if np.any(np.diff(cdf, axis=1) < 0):
-                raise ValueError("cdf must be nondecreasing along each path")
-            if np.any(cdf[:, -1] != 1.0):
-                raise ValueError("cdf must equal 1 at the horizon")
-            assert_adapted(lat, cdf)
+        if np.any(cdf < 0.0) or np.any(cdf > 1.0):
+            raise ValueError("cdf values must lie in [0, 1]")
+        if np.any(np.diff(cdf, axis=1) < 0):
+            raise ValueError("cdf must be nondecreasing along each path")
+        if np.any(cdf[:, -1] != 1.0):
+            raise ValueError("cdf must equal 1 at the horizon")
+        assert_adapted(lat, cdf)
         cdf.setflags(write=False)
         object.__setattr__(self, "lat", lat)
         object.__setattr__(self, "cdf", cdf)

@@ -30,7 +30,7 @@ from ._rng import (STREAM_CONVERGE, STREAM_DEV_EVAL, STREAM_DEV_PLAN,
                    STREAM_EQ_VALUE, derive_rng)
 from ._expect import layer_values
 from .lattice import AdaptedMeasure, LatticeModel
-from .payoffs import MeasureMode, PayoffSpec, evaluate_J
+from .payoffs import PayoffSpec, evaluate_J
 from .snell import snell_solve
 from .trees import StoppingRule, conditional_law
 
@@ -125,7 +125,7 @@ def exact_tractable(payoff: PayoffSpec, n: int) -> bool:
     """Whether the exact crowd integration runs for ``n`` players: always
     for half-open CDF payoffs (binomial), else only up to
     ``EXACT_GENERAL_CAP`` players (multisets)."""
-    return payoff.measure_mode is MeasureMode.CDF_AT_T or n <= EXACT_GENERAL_CAP
+    return payoff.half_open or n <= EXACT_GENERAL_CAP
 
 
 def _exact_crowd(payoff: PayoffSpec, n: int, law: AdaptedMeasure):
@@ -139,7 +139,7 @@ def _exact_crowd(payoff: PayoffSpec, n: int, law: AdaptedMeasure):
     """
     if not exact_tractable(payoff, n):
         raise ValueError("exact intractable, use MonteCarlo")
-    if payoff.measure_mode is not MeasureMode.CDF_AT_T:
+    if not payoff.half_open:
         return (lambda k, b_ids: b_ids,
                 lambda b: _multiset_rows(np.diff(law.cdf[b], prepend=0.0), n - 1))
     K = law.lat.steps
@@ -169,19 +169,18 @@ def _sampled_crowd(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
     """
     steps = prof.rule.stop_steps()
     n, K, npaths = prof.n, lat.steps, lat.num_paths
-    half_open = payoff.measure_mode is MeasureMode.CDF_AT_T
 
     def key(k, b_ids):
-        if not half_open:
+        if not payoff.half_open:
             return b_ids
         return k * npaths + (b_ids & ((1 << max(k - 1, 0)) - 1))
 
     def rows(crowd_key):
         k, b = divmod(crowd_key, npaths)
-        spawn = (n, k, b) if half_open else (n, b)
+        spawn = (n, k, b) if payoff.half_open else (n, b)
         rng = derive_rng(mc.seed, STREAM_DEV_PLAN, *spawn)
         dates = _steps_row(steps, b, rng.integers(npaths, size=(mc.samples, n - 1)))
-        if half_open:
+        if payoff.half_open:
             dates = np.where(dates < k, 0, K)
         flat = dates + (K + 1) * np.arange(mc.samples)[:, None]  # one date block per draw
         counts = np.bincount(flat.ravel(), minlength=mc.samples * (K + 1)).reshape(-1, K + 1)
@@ -222,10 +221,10 @@ def _field_payoff(payoff: PayoffSpec, n: int, lat: LatticeModel, crowd) -> Payof
             out[at] = acc
         return out
 
-    half_open = payoff.measure_mode is MeasureMode.CDF_AT_T
-    return PayoffSpec(None, MeasureMode.CDF_AT_T if half_open else MeasureMode.GENERAL,
-                      payoff.path_mode, bound=payoff.bound,
-                      w_dependent=payoff.w_dependent,
+    # a crowd keyed by the whole common path reads the law after the date
+    return PayoffSpec(None, bound=payoff.bound, w_dependent=payoff.w_dependent,
+                      reads_full_path=payoff.reads_full_path,
+                      past_measure_only=payoff.half_open, half_open=payoff.half_open,
                       label=f"{payoff.label}|field(n={n})",
                       evaluate_layer=evaluate_layer)
 

@@ -4,16 +4,25 @@ A payoff maps ``(common path values, idiosyncratic path values, crowd
 measure, date) -> reward`` and is called as ``evaluate(b_row, w_row, m,
 k)``: the date is its grid index ``k``, a Python ``int`` in ``0..K``, and
 the crowd ``m`` is a :class:`GridMeasure`, read by index too.
-Capability flags describe how it reads its arguments so the solvers can
-collapse the averaging they do not need:
+Four flags say how much of its arguments it reads, and each lets the
+engine skip averaging that cannot change the value.  The defaults
+describe a payoff that may read everything, which is always exact:
 
-* ``measure_mode``   -- how the crowd measure enters (mass strictly
-  before the date, a kernel convolution, or arbitrarily),
-* ``path_mode``      -- spot values at the date, the prefix up to it,
-  or the whole path,
-* ``w_dependent``    -- whether the idiosyncratic path matters at all,
-* ``measure_past_only`` -- the measure is only read at dates <= t_k, so
-  node-conditional expectations need no future-path averaging.
+* ``w_dependent`` (default True) -- the idiosyncratic path matters.
+  When False, posterior atoms and ``evaluate_J`` terms are collapsed
+  over the idiosyncratic path.
+* ``reads_full_path`` (default True) -- the value at date ``k`` may read
+  path values after ``k``.  When False, node rewards need no average
+  over future path suffixes (of the common path too, if the crowd is
+  read only on the past).
+* ``past_measure_only`` (default False) -- the crowd is read only at
+  dates ``<= k``, so node rewards need no average over the future
+  common paths the crowd's law depends on.
+* ``half_open`` (default False) -- the crowd is read only as its mass
+  strictly before the date, ``m.mass_before(k)``; it implies
+  ``past_measure_only``.  The n-player crowd then reduces to a binomial
+  count, exact for any n, and Monte Carlo planning keys its draws by
+  the date and the common prefix before it.
 
 A payoff may also carry an array kernel, ``evaluate_layer(k, b_ids,
 w_ids, cdf) -> ndarray``: the values at date ``k`` of many atoms at
@@ -36,7 +45,6 @@ Evaluators must be pure; everything here is safe to call concurrently.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,28 +60,16 @@ from .trees import (InfoTree, StoppingRule, conditional_law, enumerate_rules,
 INEQ_TOL = 1e-9
 
 
-class MeasureMode(enum.Enum):
-    CDF_AT_T = "cdf_at_t"
-    CONVOLUTION = "convolution"
-    GENERAL = "general"
-
-
-class PathMode(enum.Enum):
-    SPOT_AT_T = "spot_at_t"
-    PREFIX_TO_T = "prefix_to_t"
-    FULL_PATH = "full_path"
-
-
 @dataclass(frozen=True)
 class PayoffSpec:
-    """A pluggable objective with declared capabilities and bound."""
+    """A pluggable objective with its bound and the flags of what it reads."""
 
     evaluate: Optional[Callable[[np.ndarray, np.ndarray, GridMeasure, int], float]]
-    measure_mode: MeasureMode
-    path_mode: PathMode
     bound: float
     w_dependent: bool = True
-    measure_past_only: bool = False
+    reads_full_path: bool = True
+    past_measure_only: bool = False
+    half_open: bool = False
     label: str = ""
     evaluate_layer: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray],
                                       np.ndarray]] = None
@@ -83,14 +79,8 @@ class PayoffSpec:
             raise ValueError("bound must be positive")
         if self.evaluate is None and self.evaluate_layer is None:
             raise ValueError("a payoff needs evaluate or evaluate_layer")
-
-    @property
-    def past_measure_only(self) -> bool:
-        return self.measure_mode is MeasureMode.CDF_AT_T or self.measure_past_only
-
-    @property
-    def reads_full_path(self) -> bool:
-        return self.path_mode is PathMode.FULL_PATH
+        if self.half_open and not self.past_measure_only:
+            raise ValueError("half_open needs past_measure_only")
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +141,9 @@ def bankrun_payoff(p: BankRunParams, lat: LatticeModel,
         claim = np.where(claim < 0.0, 0.0, claim)
         return growth[k] * np.where(claim > d0, d0, claim)
 
-    mode = MeasureMode.GENERAL if closed_interval else MeasureMode.CDF_AT_T
-    return PayoffSpec(evaluate, mode, PathMode.SPOT_AT_T,
-                      bound=math.exp(rho * lat.horizon) * d0,
-                      w_dependent=False, measure_past_only=True,
+    return PayoffSpec(evaluate, bound=math.exp(rho * lat.horizon) * d0,
+                      w_dependent=False, reads_full_path=False,
+                      past_measure_only=True, half_open=not closed_interval,
                       label="bankrun" + ("-closed" if closed_interval else ""),
                       evaluate_layer=evaluate_layer)
 
@@ -192,9 +181,8 @@ def crowd_discount_payoff(p: CrowdDiscountParams, lat: LatticeModel) -> PayoffSp
             return bound
         return val
 
-    return PayoffSpec(evaluate, MeasureMode.GENERAL, PathMode.PREFIX_TO_T,
-                      bound=bound, w_dependent=True, measure_past_only=True,
-                      label="crowd_discount")
+    return PayoffSpec(evaluate, bound=bound, reads_full_path=False,
+                      past_measure_only=True, label="crowd_discount")
 
 
 @dataclass(frozen=True)
@@ -223,17 +211,17 @@ def diffusion_payoff(p: DiffusionPayoffParams, lat: LatticeModel) -> PayoffSpec:
         conv = float(table[k] @ m.mass)
         return p.f(float(b[k]), conv, times[k])
 
-    return PayoffSpec(evaluate, MeasureMode.CONVOLUTION, PathMode.SPOT_AT_T,
-                      bound=p.f_bound, w_dependent=False, label="diffusion")
+    return PayoffSpec(evaluate, bound=p.f_bound, w_dependent=False,
+                      reads_full_path=False, label="diffusion")
 
 
 def constant_payoff(c: float, lat: LatticeModel) -> PayoffSpec:
     def evaluate_layer(k, b_ids, w_ids, cdf):
         return np.full(len(b_ids), c, dtype=float)
 
-    return PayoffSpec(lambda b, w, m, k: c, MeasureMode.CDF_AT_T,
-                      PathMode.SPOT_AT_T, bound=max(abs(c), 1.0),
-                      w_dependent=False, label=f"constant({c})",
+    return PayoffSpec(lambda b, w, m, k: c, bound=max(abs(c), 1.0),
+                      w_dependent=False, reads_full_path=False,
+                      past_measure_only=True, half_open=True, label=f"constant({c})",
                       evaluate_layer=evaluate_layer)
 
 
@@ -246,9 +234,9 @@ def crowd_fraction_payoff(lat: LatticeModel) -> PayoffSpec:
     def evaluate_layer(k, b_ids, w_ids, cdf):
         return cdf[b_ids, k - 1] if k > 0 else np.zeros(len(b_ids))
 
-    return PayoffSpec(lambda b, w, m, k: m.mass_before(k),
-                      MeasureMode.CDF_AT_T, PathMode.SPOT_AT_T, bound=1.0,
-                      w_dependent=False, label="crowd_fraction",
+    return PayoffSpec(lambda b, w, m, k: m.mass_before(k), bound=1.0,
+                      w_dependent=False, reads_full_path=False,
+                      past_measure_only=True, half_open=True, label="crowd_fraction",
                       evaluate_layer=evaluate_layer)
 
 

@@ -103,9 +103,9 @@ def test_acceptance_2_oracle_equivalence():
             i = int(round((b[k] - lat.b0) / lat.db)) + K
             return float(table[i, k]) + coef * mm.mass_before(k)
 
-        payoff = m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
-                              bound=float(np.abs(table).max() + 1.0),
-                              w_dependent=False)
+        payoff = m.PayoffSpec(ev, bound=float(np.abs(table).max() + 1.0),
+                              w_dependent=False, reads_full_path=False,
+                              past_measure_only=True, half_open=True)
         mu = m.conditional_law(m.random_rule(tree, rng))
         sol = m.snell_solve(payoff, mu, tree, lat)
         res = m.brute_force_optimal(payoff, mu, tree, lat)
@@ -137,8 +137,8 @@ def _battery():
     bank5 = m.bankrun_payoff(m.BankRunParams(0.1, 0.0, half_liq), lat5)
     conc = m.PayoffSpec(
         lambda b, w, mm, k: -(float(b[k]) - 4.2) ** 2,
-        m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T, bound=60.0,
-        w_dependent=False)
+        bound=60.0, w_dependent=False, reads_full_path=False,
+        past_measure_only=True, half_open=True)
     diff4 = m.diffusion_payoff(m.DiffusionPayoffParams(
         f=lambda x, y, t: y, phi=lambda u: min(u, 0.0), f_bound=10.0), lat4)
     return [
@@ -274,8 +274,8 @@ def test_acceptance_6_zero_gap_controls():
     lat = m.build_lattice(4, 0.5, 3.0, 1.0, 1.0)
     tree = m.public_tree(lat)
     spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) ** 2,
-                        m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
-                        bound=60.0, w_dependent=False)
+                        bound=60.0, w_dependent=False,
+                        reads_full_path=False, past_measure_only=True, half_open=True)
     res = m.solve_mfe(spot, tree, lat)
     worst = 0.0
     for n in (1, 2, 5, 16, 64):

@@ -114,6 +114,16 @@ def test_bankrun_demo_payload():
                                                    abs=1e-9)
 
 
+def test_bankrun_demo_csv_rows_are_the_hitting_rule():
+    lines = m.emit(m.run(base_config(task={"kind": "bankrun-demo"})), "csv").decode()
+    lat = m.build_lattice(3, 0.5, 3.0, 1.0, 1.0)
+    params = m.BankRunParams(rbar=0.1, r=0.05, liquidation=lambda x: max(0.5 * x, 0.0))
+    steps = m.public_info_equilibrium(params, lat).stop_steps()[:, 0].tolist()
+    assert len(set(steps)) > 1  # some common paths run early, others wait
+    assert lines.splitlines() == (["b_path,stop_step"]
+                                  + [f"{b},{s}" for b, s in enumerate(steps)])
+
+
 def test_signal_info_defaults_to_ambiguous_alphabet():
     from mfgtiming.experiments import build_tree
     cfg = base_config(info={"kind": "signal"})

@@ -7,15 +7,16 @@ import pytest
 import mfgtiming as m
 
 
-def recording_payoff(lat, calls, measure_mode=m.MeasureMode.CDF_AT_T,
-                     path_mode=m.PathMode.SPOT_AT_T, w_dependent=False):
+def recording_payoff(lat, calls, half_open=True, reads_full_path=False,
+                     w_dependent=False):
     def ev(b, w, mm, k):
         assert type(k) is int and 0 <= k <= lat.steps, repr(k)
         calls.append(k)
         return float(b[k]) + 0.5 * float(w[k]) + mm.mass_before(k)
 
-    return m.PayoffSpec(ev, measure_mode, path_mode, bound=50.0,
-                        w_dependent=w_dependent, label="recording")
+    return m.PayoffSpec(ev, bound=50.0, w_dependent=w_dependent,
+                        reads_full_path=reads_full_path, past_measure_only=half_open,
+                        half_open=half_open, label="recording")
 
 
 @pytest.fixture
@@ -39,7 +40,7 @@ def test_snell_solve_passes_int_dates(lat, kind):
 def test_suffix_enumeration_passes_int_dates(lat):
     tree = m.full_tree(lat)
     calls = []
-    F = recording_payoff(lat, calls, path_mode=m.PathMode.FULL_PATH, w_dependent=True)
+    F = recording_payoff(lat, calls, reads_full_path=True, w_dependent=True)
     m.snell_solve(F, _law(tree), tree, lat)
     # every node of every layer averages over all 4**(K-k) joint suffixes
     assert len(calls) == sum(4 ** k * 4 ** (lat.steps - k) for k in range(lat.steps + 1))
@@ -66,13 +67,13 @@ def test_brute_force_passes_int_dates(lat):
     assert calls
 
 
-@pytest.mark.parametrize("mode", [m.MeasureMode.CDF_AT_T, m.MeasureMode.GENERAL])
-def test_exact_nplayer_passes_int_dates(lat, mode):
-    # CDF_AT_T takes the binomial crowd, GENERAL the multiset enumeration
+@pytest.mark.parametrize("half_open", [True, False])
+def test_exact_nplayer_passes_int_dates(lat, half_open):
+    # a half-open payoff takes the binomial crowd, any other the multiset enumeration
     rule = m.random_rule(m.public_tree(lat), np.random.default_rng(5))
     prof = m.NPlayerProfile(3, rule)
     calls = []
-    F = recording_payoff(lat, calls, measure_mode=mode)
+    F = recording_payoff(lat, calls, half_open=half_open)
     m.equilibrium_value(F, prof, lat, m.Exact())
     m.best_deviation(F, prof, lat, m.Exact())
     assert calls

@@ -14,8 +14,8 @@ def half_liq(x):
 def spot_payoff(lat, fn, bound=50.0):
     def ev(b, w, mm, k):
         return fn(float(b[k]), float(lat.grid[k]))
-    return m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
-                        bound=bound, w_dependent=False)
+    return m.PayoffSpec(ev, bound=bound, w_dependent=False,
+                        reads_full_path=False, past_measure_only=True, half_open=True)
 
 
 @pytest.fixture

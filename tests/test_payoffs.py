@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mfgtiming as m
+from mfgtiming.nplayer import _exact_crowd, _field_payoff
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ def test_bankrun_closed_interval_counts_the_atom(lat):
     d0_measure = m.point_mass(lat, 0)
     # the crowd at exactly t=0 now counts: claim = L(3) - 1 = 0.5
     assert F.evaluate(lat.b_values[0], lat.w_values[0], d0_measure, 0) == 0.5
-    assert F.measure_mode is m.MeasureMode.GENERAL and F.past_measure_only
+    assert not F.half_open and F.past_measure_only
 
 
 def test_bankrun_monotone_in_crowd(lat):
@@ -159,6 +160,64 @@ def test_diffusion_relu_convolution():
 
 
 # ---------------------------------------------------------------------------
+# what a payoff reads
+# ---------------------------------------------------------------------------
+
+
+def _field_over(builder):
+    def build(lat):
+        inner = builder(lat)
+        law = m.conditional_law(m.StoppingRule.stop_at(m.public_tree(lat), 1))
+        return _field_payoff(inner, 3, lat, _exact_crowd(inner, 3, law))
+    return build
+
+
+def _bankrun(closed_interval=False):
+    p = m.BankRunParams(rbar=0.1, r=0.05, liquidation=half_liq)
+    return lambda lat: m.bankrun_payoff(p, lat, closed_interval=closed_interval)
+
+
+def _crowd_discount(lat):
+    return m.crowd_discount_payoff(m.CrowdDiscountParams(r=0.1, c=0.5), lat)
+
+
+def _reads_everything(lat):
+    return m.PayoffSpec(lambda b, w, mm, k: float(b[-1] + w[-1]) - mm.cdf[-2],
+                        bound=20.0)
+
+
+# (w_dependent, reads_full_path, past_measure_only, half_open)
+@pytest.mark.parametrize("builder, flags", [
+    (_bankrun(), (False, False, True, True)),
+    (_bankrun(closed_interval=True), (False, False, True, False)),
+    (_crowd_discount, (True, False, True, False)),
+    (lambda lat: m.diffusion_payoff(m.DiffusionPayoffParams(
+        f=lambda x, y, t: y, phi=lambda u: 0.0, f_bound=1.0), lat),
+     (False, False, False, False)),
+    (lambda lat: m.constant_payoff(2.0, lat), (False, False, True, True)),
+    (m.crowd_fraction_payoff, (False, False, True, True)),
+    (_reads_everything, (True, True, False, False)),
+    # a field is past-only when its crowd is half-open (binomial, keyed by the
+    # past), else its crowd is keyed by the whole common path
+    (_field_over(_bankrun()), (False, False, True, True)),
+    (_field_over(_bankrun(closed_interval=True)), (False, False, False, False)),
+    (_field_over(_crowd_discount), (True, False, False, False)),
+    (_field_over(_reads_everything), (True, True, False, False)),
+], ids=["bankrun", "bankrun-closed", "crowd_discount", "diffusion", "constant",
+        "crowd_fraction", "default", "field-bankrun", "field-bankrun-closed",
+        "field-crowd_discount", "field-default"])
+def test_payoff_flags(lat, builder, flags):
+    F = builder(lat)
+    assert (F.w_dependent, F.reads_full_path, F.past_measure_only, F.half_open) == flags
+
+
+def test_half_open_needs_past_measure_only():
+    with pytest.raises(ValueError, match="half_open needs past_measure_only"):
+        m.PayoffSpec(lambda b, w, mm, k: 0.0, bound=1.0, half_open=True,
+                     past_measure_only=False)
+
+
+# ---------------------------------------------------------------------------
 # exact expected reward
 # ---------------------------------------------------------------------------
 
@@ -174,8 +233,8 @@ def test_evaluate_J_constant(lat):
 
 def test_evaluate_J_martingale_spot(lat):
     spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]),
-                        m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
-                        bound=10.0, w_dependent=False)
+                        bound=10.0, w_dependent=False,
+                        reads_full_path=False, past_measure_only=True, half_open=True)
     mu = m.conditional_law(m.StoppingRule.stop_at(m.public_tree(lat), 0))
     rng = np.random.default_rng(5)
     for tree in (m.public_tree(lat), m.full_tree(lat)):
@@ -199,8 +258,8 @@ def test_evaluate_J_affine_in_rule_mixture():
     lat = m.build_lattice(3, 0.5, 1.0, 1.0, 1.0)
     pub, ft = m.public_tree(lat), m.full_tree(lat)
     spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) ** 2,
-                        m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
-                        bound=50.0, w_dependent=False)
+                        bound=50.0, w_dependent=False,
+                        reads_full_path=False, past_measure_only=True, half_open=True)
     mu = m.conditional_law(m.StoppingRule.stop_at(pub, lat.steps))
     rng = np.random.default_rng(4)
     for _ in range(5):

@@ -7,8 +7,8 @@ import mfgtiming as m
 def spot_payoff(lat, fn, bound=50.0, w_dependent=False):
     def ev(b, w, mm, k):
         return fn(float(b[k]), float(w[k]), float(lat.grid[k]))
-    return m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
-                        bound=bound, w_dependent=w_dependent)
+    return m.PayoffSpec(ev, bound=bound, w_dependent=w_dependent,
+                        reads_full_path=False, past_measure_only=True, half_open=True)
 
 
 @pytest.fixture
@@ -107,8 +107,8 @@ def _random_cdf_payoff(lat, rng):
         i = int(round((b[k] - lat.b0) / lat.db)) + K
         return float(table[i, k]) + coef * mm.mass_before(k)
 
-    return m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
-                        bound=float(np.abs(table).max() + 1.0), w_dependent=False)
+    return m.PayoffSpec(ev, bound=float(np.abs(table).max() + 1.0), w_dependent=False,
+                        reads_full_path=False, past_measure_only=True, half_open=True)
 
 
 def test_oracle_equivalence_randomized():
@@ -135,8 +135,8 @@ def test_oracle_equivalence_full_tree_w_dependent():
     def ev(b, w, mm, k):
         return float(table[int(b[k]) + 2, int(w[k]) + 2, k])
 
-    F = m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
-                     bound=10.0, w_dependent=True)
+    F = m.PayoffSpec(ev, bound=10.0, w_dependent=True,
+                     reads_full_path=False, past_measure_only=True, half_open=True)
     mu = m.conditional_law(m.random_rule(tree, rng))
     sol = m.snell_solve(F, mu, tree, lat)
     res = m.brute_force_optimal(F, mu, tree, lat)
@@ -166,8 +166,8 @@ def test_oracle_equivalence_signal_tree(sigma):
         def ev(b, w, mm, k, table=table, coef=coef, K=K):
             return float(table[int(b[k]) + K, int(w[k]) + K, k]) + coef * mm.mass_before(k)
 
-        F = m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
-                         bound=10.0, w_dependent=True)
+        F = m.PayoffSpec(ev, bound=10.0, w_dependent=True,
+                         reads_full_path=False, past_measure_only=True, half_open=True)
         for _ in range(3):
             _assert_oracle_agrees(F, tree, lat, rng)
 
@@ -227,8 +227,8 @@ def test_information_monotonicity_strict():
     def ev(b, w, mm, k):
         return max(2.0 - 2.0 * abs(float(w[k]) - 1.0), 0.0)
 
-    F = m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.SPOT_AT_T,
-                     bound=2.0, w_dependent=True)
+    F = m.PayoffSpec(ev, bound=2.0, w_dependent=True,
+                     reads_full_path=False, past_measure_only=True, half_open=True)
     values = {}
     for name, tree in (("public", m.public_tree(lat)),
                        ("signal", m.build_signal_tree(lat, m.SignalModel(1.0))),
@@ -249,8 +249,8 @@ def test_full_path_payoff_stop_rewards():
     def ev(b, w, mm, t):
         return float(b[-1])  # terminal value regardless of stop date
 
-    F = m.PayoffSpec(ev, m.MeasureMode.CDF_AT_T, m.PathMode.FULL_PATH,
-                     bound=5.0, w_dependent=False)
+    F = m.PayoffSpec(ev, bound=5.0, w_dependent=False, reads_full_path=True,
+                     past_measure_only=True, half_open=True)
     mu = m.conditional_law(m.StoppingRule.stop_at(tree, 2))
     sol = m.snell_solve(F, mu, tree, lat)
     # E[B_T | node] at the root is 0; the value of any rule equals 0
