@@ -10,8 +10,11 @@ run inside the test process), runs one small config of every task kind
 the benchmark uses, and requires every binding and every metric.  The
 same traced runs guard the payoff kernels: solving, checking and the
 n-player tasks of the bank run make no scalar payoff call and build no
-``GridMeasure``.  The self-test runs ``perfbench/selftest.py``
-as a user would, from the root of the checkout.
+``GridMeasure``.  The script counts scalar calls itself as well, by
+wrapping the ``evaluate`` of every payoff that ``build_payoff`` returns,
+so that guard holds whatever the tracer recognises as a payoff.  The
+self-test runs ``perfbench/selftest.py`` as a user would, from the root
+of the checkout.
 """
 
 import json
@@ -20,16 +23,37 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
-import json, sys
+import dataclasses, json, sys
 import mfgtiming
+from mfgtiming import experiments
 from tracer import METRICS, Tracer
 
 configs, out = json.loads(sys.argv[1]), sys.argv[2]
 tracer = Tracer(mfgtiming, configs[0]["task"]["kind"])
 tracer.install()
+
+scalar_calls = 0
+build_payoff = experiments.build_payoff
+
+def counted(evaluate):
+    def call(*args):
+        global scalar_calls
+        scalar_calls += 1
+        return evaluate(*args)
+    return call
+
+def counted_build_payoff(*args, **kwargs):
+    payoff = build_payoff(*args, **kwargs)
+    if payoff.evaluate is None:
+        return payoff
+    return dataclasses.replace(payoff, evaluate=counted(payoff.evaluate))
+
+experiments.build_payoff = counted_build_payoff
 for config in configs:
     mfgtiming.validate_config(config)
     record = mfgtiming.run(config)
@@ -38,15 +62,20 @@ for config in configs:
 metrics = tracer.metrics()
 print(json.dumps({"missing": tracer.missing,
                   "absent": sorted(set(METRICS) - set(metrics)),
-                  "metrics": metrics}))
+                  "metrics": metrics, "scalar_calls": scalar_calls}))
 """
 
 
-def config(task, info="public"):
+BANKRUN = {"kind": "bankrun", "rbar": 0.1, "r": 0.0, "d0": 1.0,
+           "liquidation": {"preset": "linear", "a": 0.5, "c": 0.0}}
+# no layer kernel: every stop reward goes through the scalar adapter
+DIFFUSION = {"kind": "diffusion", "f": "identity_y", "phi": {"preset": "relu"}}
+
+
+def config(task, info="public", payoff=BANKRUN):
     return {
         "lattice": {"steps": 3, "dt": 0.5, "b0": 3.0, "db": 1.0, "dw": 1.0},
-        "payoff": {"kind": "bankrun", "rbar": 0.1, "r": 0.0, "d0": 1.0,
-                   "liquidation": {"preset": "linear", "a": 0.5, "c": 0.0}},
+        "payoff": payoff,
         "info": {"kind": info, "sigma": 1.0} if info == "signal" else {"kind": info},
         "seed": 5,
         "task": task,
@@ -90,10 +119,40 @@ def test_bankrun_tasks_run_on_the_payoff_kernels(tmp_path):
         config({"kind": "converge", "n_list": [2, 4], "samples": 20}, "signal"),
     ], tmp_path)
     assert got["missing"] == []
+    assert got["scalar_calls"] == 0
     assert got["metrics"]["payoffs.evaluations"] == 0
     assert got["metrics"]["lattice.grid_measures"] == 0
     assert got["metrics"]["payoffs.evaluate_J_calls"] > 0
     assert got["metrics"]["expect.stop_rewards_calls"] > 0
+
+
+def diffusion_configs():
+    return [config({"kind": "solve-mfe"}, payoff=DIFFUSION),
+            config({"kind": "eps-nash", "n_list": [2], "method": "exact"},
+                   payoff=DIFFUSION)]
+
+
+def test_scalar_adapter_payoff_calls_are_counted(tmp_path):
+    """A payoff without a kernel reaches its scalar ``evaluate``, and the
+    traced script's own count sees it, so the bank-run guard above can
+    fail."""
+    got = traced(diffusion_configs(), tmp_path)
+    assert got["missing"] == []
+    assert got["scalar_calls"] > 0
+    assert got["metrics"]["lattice.grid_measures"] > 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "perfbench/tracer.py recognises the built payoff by the field of the "
+    "deleted measure-mode enum, which PayoffSpec no longer has, so "
+    "`payoffs.evaluations` reads 0; mended by recognising it by "
+    "`evaluate_layer` (ROADMAP item 5)"))
+def test_tracer_counts_scalar_payoff_calls(tmp_path):
+    """The tracer's ``payoffs.evaluations`` equals the scalar calls the
+    script counts on a payoff without a kernel."""
+    got = traced(diffusion_configs(), tmp_path)
+    assert got["scalar_calls"] > 0
+    assert got["metrics"]["payoffs.evaluations"] == got["scalar_calls"]
 
 
 def test_benchmark_selftest_passes():
