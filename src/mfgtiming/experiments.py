@@ -32,10 +32,11 @@ from .payoffs import (BankRunParams, CrowdDiscountParams,
                       crowd_fraction_payoff, diffusion_payoff, evaluate_J,
                       exhaustive_increasing_differences,
                       sample_ordered_measures)
-from .trees import (InfoTree, SignalModel, StoppingRule, build_signal_tree,
-                    conditional_law, full_tree, public_tree)
+from .trees import (RULE_CAP, InfoTree, SignalModel, StoppingRule, build_signal_tree,
+                    conditional_law, count_rules, full_tree, public_tree)
 
 _NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _LIQUIDATION_PRESETS = ("linear", "sqrt")
 _PHI_PRESETS = ("zero", "relu", "affine", "neg_part", "concave_ramp")
 _F_PRESETS = ("identity_y", "common_plus_y")
@@ -77,13 +78,13 @@ CONFIG_SCHEMA: dict = {
             },
             "allOf": [
                 _payoff_kind("bankrun", ("rbar", "r"), rbar=_NUMBER, r=_NUMBER,
-                             d0=_NUMBER, liquidation={
+                             d0=_POSITIVE, liquidation={
                                  "type": "object", "additionalProperties": False,
                                  "properties": {
                                      "preset": {"enum": list(_LIQUIDATION_PRESETS)},
                                      "a": _NUMBER, "c": _NUMBER}}),
-                _payoff_kind("crowd_discount", ("r", "c"), r=_NUMBER, c=_NUMBER),
-                _payoff_kind("diffusion", f={"enum": list(_F_PRESETS)}, f_bound=_NUMBER, phi={
+                _payoff_kind("crowd_discount", ("r", "c"), r=_POSITIVE, c=_POSITIVE),
+                _payoff_kind("diffusion", f={"enum": list(_F_PRESETS)}, phi={
                     "type": "object", "additionalProperties": False,
                     "properties": {"preset": {"enum": list(_PHI_PRESETS)},
                                    "scale": _NUMBER}}),
@@ -143,6 +144,13 @@ def validate_config(config: dict) -> None:
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
     if error is not None:
         raise ConfigError(f"{error.json_path}: {error.message}") from error
+    steps, cap = config["lattice"]["steps"], config["lattice"].get("max_steps", HARD_STEP_CAP)
+    if steps > cap:
+        raise ConfigError(f"$.lattice.steps: {steps} exceeds the cap {cap} (4**{steps} "
+                          f"joint paths); raise $.lattice.max_steps to allow it")
+    payoff = config["payoff"]
+    if payoff["kind"] == "bankrun" and payoff["rbar"] <= payoff["r"]:
+        raise ConfigError("$.payoff.rbar: must exceed $.payoff.r")
     task = config["task"]
     kind = task["kind"]
     if kind == "check" and "trials" not in task:
@@ -208,16 +216,12 @@ def build_payoff(config: dict, lat: LatticeModel) -> PayoffSpec:
         return crowd_discount_payoff(
             CrowdDiscountParams(r=float(cfg["r"]), c=float(cfg["c"])), lat)
     if kind == "diffusion":
-        phi = _make_phi(cfg.get("phi", {}), lat)
-        phi_max = max(abs(phi(float(u) * lat.dt)) for u in range(-lat.steps, lat.steps + 1))
         if cfg.get("f", "identity_y") == "identity_y":
             f = lambda x, y, t: y
-            bound = max(phi_max, 1e-9)
         else:
             f = lambda x, y, t: x + y
-            bound = abs(lat.b0) + lat.steps * lat.db + max(phi_max, 0.0) + 1e-9
-        bound = float(cfg.get("f_bound", bound))
-        return diffusion_payoff(DiffusionPayoffParams(f=f, phi=phi, f_bound=bound), lat)
+        phi = _make_phi(cfg.get("phi", {}), lat)
+        return diffusion_payoff(DiffusionPayoffParams(f=f, phi=phi), lat)
     if kind == "constant":
         return constant_payoff(float(cfg.get("value", 1.0)), lat)
     if kind == "crowd_fraction":
@@ -307,6 +311,10 @@ def _task_check(config, lat, payoff, tree) -> dict:
     task = config["task"]
     seed = config["seed"]
     if task.get("exhaustive", False):
+        rules = count_rules(tree)
+        if rules > RULE_CAP:
+            raise ConfigError(f"$.task.exhaustive: the {tree.kind} tree has {rules} rules, "
+                              f"past the cap {RULE_CAP}; sample with trials")
         report = exhaustive_increasing_differences(payoff, lat, tree)
     else:
         report = check_increasing_differences(payoff, lat, task["trials"], seed, tree)

@@ -39,9 +39,8 @@ class LatticeModel:
     db : float
         Common-process increment magnitude per step.
     dw : float
-        Idiosyncratic-process increment magnitude per step.
-    w0 : float
-        Initial value of the idiosyncratic process (fixed to 0).
+        Idiosyncratic-process increment magnitude per step; that process
+        starts at 0.
     """
 
     steps: int
@@ -49,7 +48,6 @@ class LatticeModel:
     b0: float
     db: float
     dw: float
-    w0: float = 0.0
 
     @property
     def horizon(self) -> float:
@@ -88,7 +86,7 @@ class LatticeModel:
 
     @cached_property
     def w_values(self) -> np.ndarray:
-        return self.path_values(self.w0, self.dw)
+        return self.path_values(0.0, self.dw)
 
     def time_index(self, t: float) -> int:
         """Grid index of a float date from outside the engine; raises if the

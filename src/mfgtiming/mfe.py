@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import AdaptedMeasure, LatticeModel
-from .payoffs import BankRunParams, PayoffSpec, evaluate_J
+from .payoffs import BankRunParams, PayoffSpec, evaluate_J, liquidation_table
 from .snell import snell_solve
 from .trees import InfoTree, StoppingRule, conditional_law, public_tree
 
@@ -177,7 +177,7 @@ def solve_mfe(payoff: PayoffSpec, tree: InfoTree, lat: LatticeModel,
 
 
 def verify_mfe(payoff: PayoffSpec, rule: StoppingRule, tree: InfoTree,
-               lat: LatticeModel, tol: float = VERIFY_TOL) -> VerifyResult:
+               lat: LatticeModel) -> VerifyResult:
     """Best-response gap of a rule against the law it induces.
 
     ``gap = optimal value - achieved value``; it is nonnegative up to
@@ -187,7 +187,7 @@ def verify_mfe(payoff: PayoffSpec, rule: StoppingRule, tree: InfoTree,
     law = conditional_law(rule)
     sol = snell_solve(payoff, law, tree, lat)
     gap = float(sol.value - evaluate_J(payoff, law, rule, lat))
-    return VerifyResult(bool(gap <= tol), gap)
+    return VerifyResult(bool(gap <= VERIFY_TOL), gap)
 
 
 def public_info_equilibrium(p: BankRunParams, lat: LatticeModel) -> StoppingRule:
@@ -200,9 +200,6 @@ def public_info_equilibrium(p: BankRunParams, lat: LatticeModel) -> StoppingRule
     """
     tree = public_tree(lat)
     dec = np.zeros(tree.num_nodes, dtype=bool)
-    for k in range(lat.steps + 1):
-        n = 1 << k
-        vals = lat.b_values[:n, k]
-        liq = np.array([p.liquidation(float(v)) for v in vals])
+    for k, liq in enumerate(liquidation_table(p.liquidation, lat)):
         dec[tree.offsets[k]:tree.offsets[k + 1]] = liq <= p.d0
     return StoppingRule(tree, dec)

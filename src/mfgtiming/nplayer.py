@@ -222,9 +222,8 @@ def _field_payoff(payoff: PayoffSpec, n: int, lat: LatticeModel, crowd) -> Payof
         return out
 
     # a crowd keyed by the whole common path reads the law after the date
-    return PayoffSpec(None, bound=payoff.bound, w_dependent=payoff.w_dependent,
-                      reads_full_path=payoff.reads_full_path,
-                      past_measure_only=payoff.half_open, half_open=payoff.half_open,
+    return PayoffSpec(None, w_dependent=payoff.w_dependent,
+                      reads_full_path=payoff.reads_full_path, half_open=payoff.half_open,
                       label=f"{payoff.label}|field(n={n})",
                       evaluate_layer=evaluate_layer)
 

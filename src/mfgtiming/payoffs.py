@@ -19,7 +19,7 @@ describe a payoff that may read everything, which is always exact:
   dates ``<= k``, so node rewards need no average over the future
   common paths the crowd's law depends on.
 * ``half_open`` (default False) -- the crowd is read only as its mass
-  strictly before the date, ``m.mass_before(k)``; it implies
+  strictly before the date, ``m.mass_before(k)``; it implies, and sets,
   ``past_measure_only``.  The n-player crowd then reduces to a binomial
   count, exact for any n, and Monte Carlo planning keys its draws by
   the date and the common prefix before it.
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,10 +62,10 @@ INEQ_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PayoffSpec:
-    """A pluggable objective with its bound and the flags of what it reads."""
+    """A pluggable objective and the flags of what it reads, keyword-only."""
 
     evaluate: Optional[Callable[[np.ndarray, np.ndarray, GridMeasure, int], float]]
-    bound: float
+    _: KW_ONLY
     w_dependent: bool = True
     reads_full_path: bool = True
     past_measure_only: bool = False
@@ -75,12 +75,10 @@ class PayoffSpec:
                                       np.ndarray]] = None
 
     def __post_init__(self):
-        if self.bound <= 0:
-            raise ValueError("bound must be positive")
         if self.evaluate is None and self.evaluate_layer is None:
             raise ValueError("a payoff needs evaluate or evaluate_layer")
-        if self.half_open and not self.past_measure_only:
-            raise ValueError("half_open needs past_measure_only")
+        if self.half_open:
+            object.__setattr__(self, "past_measure_only", True)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +102,15 @@ class BankRunParams:
             raise ValueError("d0 must be positive")
 
 
+def liquidation_table(liq: Callable[[float], float], lat: LatticeModel) -> list:
+    """``L(B_k)`` per date k, indexed by k-step prefix; one call of L per value."""
+    table = []
+    for k in range(lat.steps + 1):
+        values, where = np.unique(lat.b_values[:1 << k, k], return_inverse=True)
+        table.append(np.array([liq(v) for v in values])[where])
+    return table
+
+
 def bankrun_payoff(p: BankRunParams, lat: LatticeModel,
                    closed_interval: bool = False) -> PayoffSpec:
     """Reward of withdrawing at t: growth factor times the recoverable claim.
@@ -125,12 +132,7 @@ def bankrun_payoff(p: BankRunParams, lat: LatticeModel,
             claim = 0.0
         return growth[k] * (d0 if claim > d0 else claim)
 
-    # L(B_k) per k-step prefix (B_k reads the first k steps of the path),
-    # with one call of L per distinct value
-    liq_at = []
-    for k in range(lat.steps + 1):
-        values, where = np.unique(lat.b_values[:1 << k, k], return_inverse=True)
-        liq_at.append(np.array([liq(v) for v in values])[where])
+    liq_at = liquidation_table(liq, lat)
 
     def evaluate_layer(k, b_ids, w_ids, cdf):
         if closed_interval:
@@ -141,8 +143,7 @@ def bankrun_payoff(p: BankRunParams, lat: LatticeModel,
         claim = np.where(claim < 0.0, 0.0, claim)
         return growth[k] * np.where(claim > d0, d0, claim)
 
-    return PayoffSpec(evaluate, bound=math.exp(rho * lat.horizon) * d0,
-                      w_dependent=False, reads_full_path=False,
+    return PayoffSpec(evaluate, w_dependent=False, reads_full_path=False,
                       past_measure_only=True, half_open=not closed_interval,
                       label="bankrun" + ("-closed" if closed_interval else ""),
                       evaluate_layer=evaluate_layer)
@@ -164,24 +165,24 @@ def crowd_discount_payoff(p: CrowdDiscountParams, lat: LatticeModel) -> PayoffSp
     """exp of a left-endpoint sum of (r - B - W - c * crowd[0, s]) over s < t.
 
     The infinite-horizon original is truncated to the lattice horizon.
-    Values are clamped at the declared bound (with a warning) as an
-    overflow guard.
+    As an overflow guard, values above ``exp(max_rate * T)``, the largest
+    the lattice allows, are clamped there with a warning.
     """
     dt = lat.dt
     max_rate = p.r + abs(lat.b0) + lat.steps * lat.db + lat.steps * lat.dw
-    bound = math.exp(max(max_rate, 0.0) * lat.horizon)
+    cap = math.exp(max(max_rate, 0.0) * lat.horizon)
 
     def evaluate(b, w, m, k):
         if k == 0:
             return 1.0
         acc = dt * float(np.sum(p.r - b[:k] - w[:k] - p.c * m.cdf[:k]))
         val = math.exp(acc)
-        if val > bound:
-            warnings.warn("crowd_discount value clamped at declared bound")
-            return bound
+        if val > cap:
+            warnings.warn("crowd_discount value clamped at the lattice maximum")
+            return cap
         return val
 
-    return PayoffSpec(evaluate, bound=bound, reads_full_path=False,
+    return PayoffSpec(evaluate, reads_full_path=False,
                       past_measure_only=True, label="crowd_discount")
 
 
@@ -191,11 +192,6 @@ class DiffusionPayoffParams:
 
     f: Callable[[float, float, float], float]
     phi: Callable[[float], float]
-    f_bound: float
-
-    def __post_init__(self):
-        if self.f_bound <= 0:
-            raise ValueError("f_bound must be positive")
 
 
 def diffusion_payoff(p: DiffusionPayoffParams, lat: LatticeModel) -> PayoffSpec:
@@ -211,7 +207,7 @@ def diffusion_payoff(p: DiffusionPayoffParams, lat: LatticeModel) -> PayoffSpec:
         conv = float(table[k] @ m.mass)
         return p.f(float(b[k]), conv, times[k])
 
-    return PayoffSpec(evaluate, bound=p.f_bound, w_dependent=False,
+    return PayoffSpec(evaluate, w_dependent=False,
                       reads_full_path=False, label="diffusion")
 
 
@@ -219,9 +215,8 @@ def constant_payoff(c: float, lat: LatticeModel) -> PayoffSpec:
     def evaluate_layer(k, b_ids, w_ids, cdf):
         return np.full(len(b_ids), c, dtype=float)
 
-    return PayoffSpec(lambda b, w, m, k: c, bound=max(abs(c), 1.0),
-                      w_dependent=False, reads_full_path=False,
-                      past_measure_only=True, half_open=True, label=f"constant({c})",
+    return PayoffSpec(lambda b, w, m, k: c, w_dependent=False, reads_full_path=False,
+                      half_open=True, label=f"constant({c})",
                       evaluate_layer=evaluate_layer)
 
 
@@ -234,9 +229,8 @@ def crowd_fraction_payoff(lat: LatticeModel) -> PayoffSpec:
     def evaluate_layer(k, b_ids, w_ids, cdf):
         return cdf[b_ids, k - 1] if k > 0 else np.zeros(len(b_ids))
 
-    return PayoffSpec(lambda b, w, m, k: m.mass_before(k), bound=1.0,
-                      w_dependent=False, reads_full_path=False,
-                      past_measure_only=True, half_open=True, label="crowd_fraction",
+    return PayoffSpec(lambda b, w, m, k: m.mass_before(k), w_dependent=False,
+                      reads_full_path=False, half_open=True, label="crowd_fraction",
                       evaluate_layer=evaluate_layer)
 
 

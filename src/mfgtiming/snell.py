@@ -39,7 +39,7 @@ class SnellSolution:
 
 
 def snell_solve(payoff, mu: AdaptedMeasure, tree: InfoTree,
-                lat: LatticeModel | None = None, tol: float = TIE_TOL) -> SnellSolution:
+                lat: LatticeModel | None = None) -> SnellSolution:
     """Solve the stopping problem for a fixed crowd measure.
 
     Stop rewards are exact posterior-weighted conditional expectations;
@@ -62,8 +62,8 @@ def snell_solve(payoff, mu: AdaptedMeasure, tree: InfoTree,
         cont = tree.continuation(k, values)
         stop = rewards[k]
         sl = slice(int(tree.offsets[k]), int(tree.offsets[k + 1]))
-        dec_min[sl] = stop >= cont - tol
-        dec_max[sl] = stop > cont + tol
+        dec_min[sl] = stop >= cont - TIE_TOL
+        dec_max[sl] = stop > cont + TIE_TOL
         conts[k] = cont
         values = np.maximum(stop, cont)
     return SnellSolution(
@@ -89,24 +89,23 @@ class BruteForceResult:
 
 
 def brute_force_optimal(payoff, mu: AdaptedMeasure, tree: InfoTree,
-                        lat: LatticeModel | None = None, cap: int = 10 ** 7,
-                        tol: float = TIE_TOL) -> BruteForceResult:
+                        lat: LatticeModel | None = None) -> BruteForceResult:
     """Exhaustively evaluate every canonical rule on the tree.
 
     Returns the optimal value together with the pointwise-minimal and
-    pointwise-maximal optimizers among rules within ``tol`` of the
+    pointwise-maximal optimizers among rules within ``TIE_TOL`` of the
     optimum (ties form a lattice, so the pointwise extremes of the tie
     set are themselves optimal rules).
     """
     lat = lat or tree.lat
-    rules = list(enumerate_rules(tree, cap))  # raises past the cap
+    rules = list(enumerate_rules(tree))  # raises past RULE_CAP
     value = {rule.key(): evaluate_J(payoff, mu, rule, lat) for rule in rules}
     best = max(value.values())
     tied = np.stack([rule.stop_steps() for rule in rules
-                     if value[rule.key()] >= best - tol])
+                     if value[rule.key()] >= best - TIE_TOL])
     rule_min = StoppingRule.from_times(tree, tied.min(axis=0))
     rule_max = StoppingRule.from_times(tree, tied.max(axis=0))
     # every canonical rule was enumerated, the extremes included
-    if min(value[rule_min.key()], value[rule_max.key()]) < best - 10 * tol:
+    if min(value[rule_min.key()], value[rule_max.key()]) < best - 10 * TIE_TOL:
         raise AssertionError("tie set is not a lattice: extreme rule suboptimal")
     return BruteForceResult(best, rule_min, rule_max, len(rules))

@@ -33,6 +33,8 @@ import numpy as np
 
 from .lattice import AdaptedMeasure, LatticeModel
 
+RULE_CAP = 10 ** 7  # most rules enumerate_rules will yield
+
 
 class InfoTree:
     """The filtration generated by ``symbol_of[b_bit, w_bit]`` per step.
@@ -305,15 +307,15 @@ def count_rules(tree: InfoTree) -> int:
     return s
 
 
-def enumerate_rules(tree: InfoTree, cap: int = 10 ** 7):
+def enumerate_rules(tree: InfoTree):
     """Yield every canonical rule on the tree, lazily.
 
-    Raises when the rule count exceeds ``cap`` (the count grows as a
+    Raises when the rule count exceeds ``RULE_CAP`` (the count grows as a
     tower of exponentials in the depth).
     """
     total = count_rules(tree)
-    if total > cap:
-        raise ValueError(f"enumeration too large: {total} rules exceeds cap {cap}")
+    if total > RULE_CAP:
+        raise ValueError(f"enumeration too large: {total} rules exceed {RULE_CAP}")
     lat = tree.lat
     offsets = tree.offsets
 

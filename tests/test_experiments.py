@@ -247,6 +247,59 @@ def test_cli_exact_eps_nash_past_general_cap_fails_before_solving(
                  "monte-carlo")
 
 
+@pytest.mark.parametrize("over, expect", [
+    ({"lattice": {"steps": 15, "dt": 0.5, "b0": 3.0, "db": 1.0, "dw": 1.0}},
+     ("$.lattice.steps:", "$.lattice.max_steps")),
+    ({"payoff": {"kind": "bankrun", "rbar": 0.05, "r": 0.05}}, ("$.payoff.rbar:",)),
+    ({"payoff": {"kind": "bankrun", "rbar": 0.1, "r": 0.0, "d0": 0}}, ("$.payoff.d0:",)),
+    ({"payoff": {"kind": "crowd_discount", "r": 0.0, "c": 0.8}}, ("$.payoff.r:",)),
+    ({"payoff": {"kind": "crowd_discount", "r": 0.3, "c": -1.0}}, ("$.payoff.c:",)),
+    ({"payoff": {"kind": "diffusion", "f_bound": 10.0}}, ("$.payoff:", "'f_bound'")),
+    ({"lattice": {"steps": 6, "dt": 0.5, "b0": 3.0, "db": 1.0, "dw": 1.0},
+      "task": {"kind": "check", "trials": 1, "exhaustive": True}},
+     ("$.task.exhaustive:", "210066388901 rules")),
+], ids=["steps-past-cap", "rbar-not-above-r", "d0-zero", "crowd_discount-r",
+        "crowd_discount-c", "diffusion-f_bound", "exhaustive-public-k6"])
+def test_cli_invalid_values_exit_2_before_solving(tmp_path, capsys, monkeypatch,
+                                                  over, expect):
+    """Values the schema's types admit but the model refuses exit 2 with the
+    JSON path, before any solve or enumeration."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before rejecting the config")
+
+    monkeypatch.setattr(m.experiments, "solve_mfe", no_work)
+    monkeypatch.setattr(m.experiments, "exhaustive_increasing_differences", no_work)
+    _cli_rejects(tmp_path, capsys, base_config(**over), *expect)
+
+
+def test_config_max_steps_raises_the_lattice_cap():
+    cfg = base_config()
+    cfg["lattice"].update(steps=15, max_steps=15)
+    m.validate_config(cfg)
+
+
+def test_solve_mfe_unconverged_end_is_verified_and_written_as_csv():
+    """An end that stopped at ``max_iter`` unconverged is verified by solving
+    its rule's law again; the CSV has one row per trace entry."""
+    cfg = base_config(task={"kind": "solve-mfe", "max_iter": 1})
+    rec = m.run(cfg)
+    lat = m.experiments.build_lattice_from(cfg)
+    payoff = m.experiments.build_payoff(cfg, lat)
+    tree = m.experiments.build_tree(cfg, lat)
+    res = m.solve_mfe(payoff, tree, lat, max_iter=1)
+    assert not res.top.converged
+    ends = (("top", res.top), ("bottom", res.bottom))
+    for name, end in ends:
+        v = m.verify_mfe(payoff, end.rule, tree, lat)
+        assert rec.result[f"verify_{name}"] == {"is_mfe": v.is_mfe, "gap": v.gap}
+    lines = m.emit(rec, "csv").decode().splitlines()
+    assert lines[0] == "direction,iteration,value,stopped_nodes"
+    expected = [(name, i, step.value, int(step.rule.decision.sum()))
+                for name, end in ends for i, step in enumerate(end.trace, start=1)]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(d, int(i), float(v), int(s)) for d, i, v, s in rows] == expected
+
+
 def test_cli_exact_eps_nash_at_general_cap_runs(tmp_path):
     cfg = base_config(closed_interval=True,
                       task={"kind": "eps-nash", "n_list": [2, EXACT_GENERAL_CAP]})

@@ -14,8 +14,7 @@ def recording_payoff(lat, calls, half_open=True, reads_full_path=False,
         calls.append(k)
         return float(b[k]) + 0.5 * float(w[k]) + mm.mass_before(k)
 
-    return m.PayoffSpec(ev, bound=50.0, w_dependent=w_dependent,
-                        reads_full_path=reads_full_path, past_measure_only=half_open,
+    return m.PayoffSpec(ev, w_dependent=w_dependent, reads_full_path=reads_full_path,
                         half_open=half_open, label="recording")
 
 

@@ -11,11 +11,10 @@ def half_liq(x):
     return max(0.5 * x, 0.0)
 
 
-def spot_payoff(lat, fn, bound=50.0):
+def spot_payoff(lat, fn):
     def ev(b, w, mm, k):
         return fn(float(b[k]), float(lat.grid[k]))
-    return m.PayoffSpec(ev, bound=bound, w_dependent=False,
-                        reads_full_path=False, past_measure_only=True, half_open=True)
+    return m.PayoffSpec(ev, w_dependent=False, reads_full_path=False, half_open=True)
 
 
 @pytest.fixture

@@ -61,8 +61,7 @@ def test_constant_payoff_value_every_method(lat):
 
 def test_crowd_independent_equals_single_agent(lat):
     spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) ** 2,
-                        bound=50.0, w_dependent=False,
-                        reads_full_path=False, past_measure_only=True, half_open=True)
+                        w_dependent=False, reads_full_path=False, half_open=True)
     tree = m.public_tree(lat)
     rng = np.random.default_rng(1)
     rule = m.random_rule(tree, rng)
@@ -120,8 +119,7 @@ def test_two_player_general_payoff_matches_exhaustion(lat):
 
 def test_epsilon_nonnegative_and_zero_for_crowd_independent(lat):
     spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) ** 2,
-                        bound=50.0, w_dependent=False,
-                        reads_full_path=False, past_measure_only=True, half_open=True)
+                        w_dependent=False, reads_full_path=False, half_open=True)
     tree = m.public_tree(lat)
     res = m.solve_mfe(spot, tree, lat)
     for n in (1, 2, 7, 40):

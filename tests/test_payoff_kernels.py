@@ -62,7 +62,7 @@ def spot_times_noise(lat):
     suffix enumerations and the per-joint-path ``evaluate_J`` run."""
     bv, wv = lat.b_values, lat.w_values
     return m.PayoffSpec(
-        lambda b, w, mm, k: b[k] * w[k] - mm.cdf[k], bound=100.0,
+        lambda b, w, mm, k: b[k] * w[k] - mm.cdf[k],
         w_dependent=True, reads_full_path=True, label="spot_times_noise",
         evaluate_layer=lambda k, b_ids, w_ids, cdf: bv[b_ids, k] * wv[w_ids, k]
         - cdf[b_ids, k])
@@ -151,15 +151,14 @@ def test_kernel_equals_scalar_adapter(case):
 def test_field_payoff_without_inner_kernel_uses_the_adapter():
     lat = m.build_lattice(3, 0.5, 3.0, 1.0, 1.0)
     spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) - mm.mass_before(k),
-                        bound=10.0, w_dependent=False,
-                        reads_full_path=False, past_measure_only=True, half_open=True)
+                        w_dependent=False, reads_full_path=False, half_open=True)
     law = m.conditional_law(m.StoppingRule.stop_at(m.public_tree(lat), 1))
     assert _field_payoff(spot, 4, lat, _exact_crowd(spot, 4, law)).evaluate_layer is not None
 
 
 def test_payoff_needs_evaluate_or_kernel():
-    flags = dict(reads_full_path=False, past_measure_only=True, half_open=True)
-    m.PayoffSpec(None, bound=1.0, **flags,
+    flags = dict(reads_full_path=False, half_open=True)
+    m.PayoffSpec(None, **flags,
                  evaluate_layer=lambda k, b_ids, w_ids, cdf: np.zeros(len(b_ids)))
     with pytest.raises(ValueError, match="evaluate or evaluate_layer"):
-        m.PayoffSpec(None, bound=1.0, **flags)
+        m.PayoffSpec(None, **flags)

@@ -116,11 +116,12 @@ def test_crowd_discount_two_term_product():
 def test_crowd_discount_overflow_clamp():
     lat = m.build_lattice(2, 0.5, 0.0, 1.0, 1.0)
     F = m.crowd_discount_payoff(m.CrowdDiscountParams(r=0.3, c=1.0), lat)
-    # feed values far below the lattice range to force a clamp
+    # feed values far below the lattice range to force a clamp at the lattice
+    # maximum, exp((r + |b0| + K db + K dw) T) = exp(4.3)
     b = np.array([0.0, -80.0, -80.0])
     with pytest.warns(UserWarning, match="clamped"):
         v = F.evaluate(b, np.zeros(3), m.point_mass(lat, 2), 2)
-    assert v == F.bound
+    assert v == math.exp(4.3)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +131,7 @@ def test_crowd_discount_overflow_clamp():
 
 def test_diffusion_zero_kernel_ignores_crowd(lat):
     F = m.diffusion_payoff(
-        m.DiffusionPayoffParams(f=lambda x, y, t: x + y, phi=lambda u: 0.0,
-                                f_bound=10.0), lat)
+        m.DiffusionPayoffParams(f=lambda x, y, t: x + y, phi=lambda u: 0.0), lat)
     d0, dT = m.point_mass(lat, 0), m.point_mass(lat, lat.steps)
     b = lat.b_values[5]
     for k in range(lat.steps + 1):
@@ -140,8 +140,7 @@ def test_diffusion_zero_kernel_ignores_crowd(lat):
 
 def test_diffusion_sifting(lat):
     phi = lambda u: math.sin(u) + 2.0
-    F = m.diffusion_payoff(m.DiffusionPayoffParams(f=lambda x, y, t: y, phi=phi,
-                                                   f_bound=10.0), lat)
+    F = m.diffusion_payoff(m.DiffusionPayoffParams(f=lambda x, y, t: y, phi=phi), lat)
     for s in range(lat.steps + 1):
         ds = m.point_mass(lat, s)
         for k in range(lat.steps + 1):
@@ -152,7 +151,7 @@ def test_diffusion_sifting(lat):
 def test_diffusion_relu_convolution():
     lat = m.build_lattice(2, 0.5, 0.0, 1.0, 1.0)
     F = m.diffusion_payoff(m.DiffusionPayoffParams(
-        f=lambda x, y, t: y, phi=lambda u: max(u, 0.0), f_bound=10.0), lat)
+        f=lambda x, y, t: y, phi=lambda u: max(u, 0.0)), lat)
     uni = m.empirical_measure([0.0, 0.5], lat)
     dt = lat.dt
     val = F.evaluate(lat.b_values[0], lat.w_values[0], uni, 2)
@@ -182,8 +181,7 @@ def _crowd_discount(lat):
 
 
 def _reads_everything(lat):
-    return m.PayoffSpec(lambda b, w, mm, k: float(b[-1] + w[-1]) - mm.cdf[-2],
-                        bound=20.0)
+    return m.PayoffSpec(lambda b, w, mm, k: float(b[-1] + w[-1]) - mm.cdf[-2])
 
 
 # (w_dependent, reads_full_path, past_measure_only, half_open)
@@ -192,7 +190,7 @@ def _reads_everything(lat):
     (_bankrun(closed_interval=True), (False, False, True, False)),
     (_crowd_discount, (True, False, True, False)),
     (lambda lat: m.diffusion_payoff(m.DiffusionPayoffParams(
-        f=lambda x, y, t: y, phi=lambda u: 0.0, f_bound=1.0), lat),
+        f=lambda x, y, t: y, phi=lambda u: 0.0), lat),
      (False, False, False, False)),
     (lambda lat: m.constant_payoff(2.0, lat), (False, False, True, True)),
     (m.crowd_fraction_payoff, (False, False, True, True)),
@@ -212,9 +210,18 @@ def test_payoff_flags(lat, builder, flags):
 
 
 def test_half_open_needs_past_measure_only():
-    with pytest.raises(ValueError, match="half_open needs past_measure_only"):
-        m.PayoffSpec(lambda b, w, mm, k: 0.0, bound=1.0, half_open=True,
-                     past_measure_only=False)
+    """``half_open`` implies ``past_measure_only``, which it sets."""
+    F = m.PayoffSpec(lambda b, w, mm, k: 0.0, half_open=True)
+    assert F.half_open and F.past_measure_only
+    assert m.PayoffSpec(lambda b, w, mm, k: 0.0, half_open=True,
+                        past_measure_only=False).past_measure_only
+    assert not m.PayoffSpec(lambda b, w, mm, k: 0.0).past_measure_only
+
+
+def test_payoff_flags_are_keyword_only():
+    """A second positional argument is refused, not read as ``w_dependent``."""
+    with pytest.raises(TypeError):
+        m.PayoffSpec(lambda b, w, mm, k: 0.0, 50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +240,7 @@ def test_evaluate_J_constant(lat):
 
 def test_evaluate_J_martingale_spot(lat):
     spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]),
-                        bound=10.0, w_dependent=False,
-                        reads_full_path=False, past_measure_only=True, half_open=True)
+                        w_dependent=False, reads_full_path=False, half_open=True)
     mu = m.conditional_law(m.StoppingRule.stop_at(m.public_tree(lat), 0))
     rng = np.random.default_rng(5)
     for tree in (m.public_tree(lat), m.full_tree(lat)):
@@ -258,8 +264,7 @@ def test_evaluate_J_affine_in_rule_mixture():
     lat = m.build_lattice(3, 0.5, 1.0, 1.0, 1.0)
     pub, ft = m.public_tree(lat), m.full_tree(lat)
     spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) ** 2,
-                        bound=50.0, w_dependent=False,
-                        reads_full_path=False, past_measure_only=True, half_open=True)
+                        w_dependent=False, reads_full_path=False, half_open=True)
     mu = m.conditional_law(m.StoppingRule.stop_at(pub, lat.steps))
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -300,12 +305,36 @@ def test_check_id_crowd_fraction_fails_exhaustively():
     assert v.tau.pointwise_leq(v.tau_tilde)
 
 
+@pytest.mark.parametrize("steps", [2, 3, 4, 5])
+def test_check_id_sampled_crowd_fraction_violation_is_ordered(steps):
+    """The sampled checker on the default (full) tree finds crowd_fraction's
+    violation and returns an ordered quadruple with the gain order broken."""
+    lat = m.build_lattice(steps, 0.5, 3.0, 1.0, 1.0)
+    rep = m.check_increasing_differences(m.crowd_fraction_payoff(lat), lat,
+                                         trials=100, seed=4242)
+    assert not rep.passed and rep.trials <= 100
+    v = rep.violation
+    assert m.stochastic_leq(v.mu, v.mu_tilde)
+    assert v.tau.pointwise_leq(v.tau_tilde)
+    assert v.lhs < v.rhs - 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 3: on the public tree at K=8 sample_ordered_measures "
+    "returns two equal measures, so the sampled checker misses the violation"))
+def test_check_id_sampled_crowd_fraction_violation_public_k8():
+    lat = m.build_lattice(8, 0.5, 3.0, 1.0, 1.0)
+    rep = m.check_increasing_differences(m.crowd_fraction_payoff(lat), lat,
+                                         trials=100, seed=4242)
+    assert not rep.passed
+
+
 def test_check_id_pointwise_nondecreasing_difference_passes():
     # a payoff whose crowd-difference process is pointwise nondecreasing in
     # time: concave nondecreasing kernel read through the crowd CDF
     lat = m.build_lattice(3, 0.5, 0.0, 1.0, 1.0)
     F = m.diffusion_payoff(m.DiffusionPayoffParams(
-        f=lambda x, y, t: y, phi=lambda u: min(u, 0.0), f_bound=10.0), lat)
+        f=lambda x, y, t: y, phi=lambda u: min(u, 0.0)), lat)
     rep = m.check_increasing_differences(F, lat, trials=120, seed=13)
     assert rep.passed
 
@@ -368,7 +397,7 @@ def test_submartingale_kernel_orientation():
     pairs = [m.sample_ordered_measures(lat, rng) for _ in range(12)]
     for name, (phi, should_pass) in kernels.items():
         F = m.diffusion_payoff(
-            m.DiffusionPayoffParams(f=lambda x, y, t: y, phi=phi, f_bound=10.0), lat)
+            m.DiffusionPayoffParams(f=lambda x, y, t: y, phi=phi), lat)
         verdicts = [m.check_submartingale(F, early, late, lat).passed
                     for early, late in pairs]
         assert all(verdicts) == should_pass, name
@@ -380,7 +409,7 @@ def test_submartingale_agrees_with_increasing_differences():
     lat = m.build_lattice(3, 0.5, 0.0, 1.0, 1.0)
     tree = m.full_tree(lat)
     F = m.diffusion_payoff(m.DiffusionPayoffParams(
-        f=lambda x, y, t: y, phi=lambda u: min(u, 0.0), f_bound=10.0), lat)
+        f=lambda x, y, t: y, phi=lambda u: min(u, 0.0)), lat)
     rng = np.random.default_rng(8)
     for _ in range(10):
         early, late = m.sample_ordered_measures(lat, rng, tree)

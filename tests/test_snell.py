@@ -4,11 +4,10 @@ import pytest
 import mfgtiming as m
 
 
-def spot_payoff(lat, fn, bound=50.0, w_dependent=False):
+def spot_payoff(lat, fn, w_dependent=False):
     def ev(b, w, mm, k):
         return fn(float(b[k]), float(w[k]), float(lat.grid[k]))
-    return m.PayoffSpec(ev, bound=bound, w_dependent=w_dependent,
-                        reads_full_path=False, past_measure_only=True, half_open=True)
+    return m.PayoffSpec(ev, w_dependent=w_dependent, reads_full_path=False, half_open=True)
 
 
 @pytest.fixture
@@ -107,8 +106,7 @@ def _random_cdf_payoff(lat, rng):
         i = int(round((b[k] - lat.b0) / lat.db)) + K
         return float(table[i, k]) + coef * mm.mass_before(k)
 
-    return m.PayoffSpec(ev, bound=float(np.abs(table).max() + 1.0), w_dependent=False,
-                        reads_full_path=False, past_measure_only=True, half_open=True)
+    return m.PayoffSpec(ev, w_dependent=False, reads_full_path=False, half_open=True)
 
 
 def test_oracle_equivalence_randomized():
@@ -135,8 +133,7 @@ def test_oracle_equivalence_full_tree_w_dependent():
     def ev(b, w, mm, k):
         return float(table[int(b[k]) + 2, int(w[k]) + 2, k])
 
-    F = m.PayoffSpec(ev, bound=10.0, w_dependent=True,
-                     reads_full_path=False, past_measure_only=True, half_open=True)
+    F = m.PayoffSpec(ev, w_dependent=True, reads_full_path=False, half_open=True)
     mu = m.conditional_law(m.random_rule(tree, rng))
     sol = m.snell_solve(F, mu, tree, lat)
     res = m.brute_force_optimal(F, mu, tree, lat)
@@ -166,8 +163,7 @@ def test_oracle_equivalence_signal_tree(sigma):
         def ev(b, w, mm, k, table=table, coef=coef, K=K):
             return float(table[int(b[k]) + K, int(w[k]) + K, k]) + coef * mm.mass_before(k)
 
-        F = m.PayoffSpec(ev, bound=10.0, w_dependent=True,
-                         reads_full_path=False, past_measure_only=True, half_open=True)
+        F = m.PayoffSpec(ev, w_dependent=True, reads_full_path=False, half_open=True)
         for _ in range(3):
             _assert_oracle_agrees(F, tree, lat, rng)
 
@@ -188,7 +184,7 @@ def test_monotone_selection_under_complementarity():
     lat = m.build_lattice(3, 0.5, 0.0, 1.0, 1.0)
     tree = m.public_tree(lat)
     F = m.diffusion_payoff(m.DiffusionPayoffParams(
-        f=lambda x, y, t: y, phi=lambda u: min(u, 0.0), f_bound=10.0), lat)
+        f=lambda x, y, t: y, phi=lambda u: min(u, 0.0)), lat)
     rng = np.random.default_rng(5)
     for _ in range(15):
         early, late = m.sample_ordered_measures(lat, rng)
@@ -227,8 +223,7 @@ def test_information_monotonicity_strict():
     def ev(b, w, mm, k):
         return max(2.0 - 2.0 * abs(float(w[k]) - 1.0), 0.0)
 
-    F = m.PayoffSpec(ev, bound=2.0, w_dependent=True,
-                     reads_full_path=False, past_measure_only=True, half_open=True)
+    F = m.PayoffSpec(ev, w_dependent=True, reads_full_path=False, half_open=True)
     values = {}
     for name, tree in (("public", m.public_tree(lat)),
                        ("signal", m.build_signal_tree(lat, m.SignalModel(1.0))),
@@ -249,8 +244,7 @@ def test_full_path_payoff_stop_rewards():
     def ev(b, w, mm, t):
         return float(b[-1])  # terminal value regardless of stop date
 
-    F = m.PayoffSpec(ev, bound=5.0, w_dependent=False, reads_full_path=True,
-                     past_measure_only=True, half_open=True)
+    F = m.PayoffSpec(ev, w_dependent=False, reads_full_path=True, half_open=True)
     mu = m.conditional_law(m.StoppingRule.stop_at(tree, 2))
     sol = m.snell_solve(F, mu, tree, lat)
     # E[B_T | node] at the root is 0; the value of any rule equals 0
