@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from ._rng import STREAM_CHECK, derive_rng
 from .lattice import HARD_STEP_CAP, AdaptedMeasure, LatticeModel, build_lattice
-from .mfe import (EquilibriumResult, IterationResult, public_info_equilibrium,
-                  solve_mfe, verify_mfe)
+from .mfe import (EquilibriumResult, IterationResult, iterate_from_top,
+                  public_info_equilibrium, solve_mfe, verify_mfe)
 from .nplayer import (EXACT_GENERAL_CAP, Exact, MonteCarlo, convergence_experiment,
                       estimate_epsilon, exact_tractable)
 from .payoffs import (BankRunParams, CrowdDiscountParams,
@@ -349,8 +349,8 @@ def _task_check(config, lat, payoff, tree) -> dict:
 
 
 def _mfe_rule_for(config, lat, payoff, tree) -> StoppingRule:
-    res = solve_mfe(payoff, tree, lat, config["task"].get("max_iter"))
-    return res.rule_max
+    """The maximal equilibrium rule: only the descending iteration runs."""
+    return iterate_from_top(payoff, tree, lat, config["task"].get("max_iter")).rule
 
 
 def _task_eps_nash(config, lat, payoff, tree) -> dict:

@@ -254,12 +254,14 @@ class AdaptedMeasure:
 
 
 def assert_adapted(lat: LatticeModel, cdf: np.ndarray) -> None:
-    """Check cdf[:, k] is a function of the k-bit path prefix, exactly."""
-    ids = lat.path_ids
+    """Check cdf[:, k] is a function of the k-bit path prefix, exactly.
+
+    Path ``b`` is row ``b >> k``, column ``b & (2**k - 1)`` of column k
+    viewed as (2**(K-k), 2**k), so adapted means every row equals the first.
+    """
     for k in range(lat.steps + 1):
-        mask = (1 << k) - 1
-        rep = ids & mask
-        if not np.array_equal(cdf[:, k], cdf[rep, k]):
+        col = cdf[:, k].reshape(-1, 1 << k)
+        if not (col == col[0]).all():
             raise ValueError(f"cdf not adapted at step {k}")
 
 

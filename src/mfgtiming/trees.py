@@ -19,7 +19,10 @@ layer by layer; ``offsets[k] + local`` is the absolute id of local node
 node; measurability is structural because the decision can only read
 the node.  Rules are kept in canonical form (every descendant of a
 stopped node is marked stop), which makes rule equality equivalent to
-equality of the induced stopping times.
+equality of the induced stopping times.  Stop steps are read from that
+form: a path stops on a suffix of its nodes, so its stop index follows
+from how many stopped nodes it passes.  Every constructor must keep
+rules canonical.
 """
 
 from __future__ import annotations
@@ -86,10 +89,6 @@ class InfoTree:
         for s in range(1, self.num_symbols):
             out += self.symbol_probs[s] * v_next[s * n:(s + 1) * n]
         return out
-
-    def spread_to_children(self, k: int, marks: np.ndarray) -> np.ndarray:
-        """Copy a per-node layer-k array onto each node's children."""
-        return np.tile(marks, self.num_symbols)
 
     def children_local(self, k: int, local: int) -> list[int]:
         """Local ids at layer k+1 of one node's children."""
@@ -239,19 +238,22 @@ class StoppingRule:
     def stop_steps(self) -> np.ndarray:
         """First stopped grid index along every joint path.
 
-        Shape (2**K, 1) for w-free trees, else (2**K, 2**K).
+        Shape (2**K, 1) for w-free trees, else (2**K, 2**K).  Read from
+        canonical form: a path stops on a suffix of its nodes, so its
+        stop index is K+1 less the number of stopped nodes it passes.
+        Every constructor must therefore keep the rule canonical.
         """
         if self._steps is not None:
             return self._steps
-        tree, lat = self.tree, self.tree.lat
-        shape = (lat.num_paths, 1) if tree.w_free else (lat.num_paths, lat.num_paths)
-        out = np.full(shape, lat.steps, dtype=np.int16)
-        stopped = np.zeros(shape, dtype=bool)
-        for k, local in tree.joint_layers():
-            dec = self.decision[tree.offsets[k] + local]
-            newly = dec & ~stopped
-            out[newly] = k
-            stopped |= newly
+        tree, K = self.tree, self.tree.lat.steps
+        off, S = tree.offsets, tree.num_symbols
+        # stopped nodes on the way to each node, layer by layer; the
+        # children of local node l are l + s*S**k, so layer k+1 viewed
+        # as (S, S**k) lines up row by row with layer k
+        count = self.decision[:1].astype(np.int16)
+        for k in range(1, K + 1):
+            count = (self.decision[off[k]:off[k + 1]].reshape(S, -1) + count).ravel()
+        out = (K + 1 - count)[tree.prefix_nodes(K)]
         out.setflags(write=False)
         object.__setattr__(self, "_steps", out)
         return out
@@ -277,15 +279,11 @@ class StoppingRule:
 
 def _canonicalize(tree: InfoTree, raw: np.ndarray) -> np.ndarray:
     dec = raw.copy()
-    lat = tree.lat
-    forced = np.zeros(1, dtype=bool)
-    for k in range(lat.steps + 1):
-        sl = slice(int(tree.offsets[k]), int(tree.offsets[k + 1]))
-        dec[sl] |= forced
-        if k == lat.steps:
-            dec[sl] = True
-        else:
-            forced = tree.spread_to_children(k, dec[sl])
+    off, S = tree.offsets, tree.num_symbols
+    for k in range(tree.lat.steps):
+        # children of local node l are l + s*S**k: row s of the (S, S**k) view
+        dec[off[k + 1]:off[k + 2]].reshape(S, -1)[...] |= dec[off[k]:off[k + 1]]
+    dec[off[-2]:] = True
     return dec
 
 

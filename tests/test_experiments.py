@@ -240,6 +240,7 @@ def test_cli_exact_eps_nash_past_general_cap_fails_before_solving(
         raise AssertionError("solved before rejecting the config")
 
     monkeypatch.setattr(m.experiments, "solve_mfe", no_solve)
+    monkeypatch.setattr(m.experiments, "iterate_from_top", no_solve)
     cfg = base_config(payoff=payoff, task={"kind": "eps-nash", "n_list": [4, 16]})
     if closed:
         cfg["closed_interval"] = True

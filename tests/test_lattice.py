@@ -124,6 +124,44 @@ def test_adapted_measure_validation():
         m.AdaptedMeasure(lat, open_end)
 
 
+def gather_adapted_step(lat, cdf):
+    """First step whose column is not a function of the prefix, by gather."""
+    for k in range(lat.steps + 1):
+        rep = lat.path_ids & ((1 << k) - 1)
+        if not np.array_equal(cdf[:, k], cdf[rep, k]):
+            return k
+    return None
+
+
+def test_assert_adapted_names_the_first_changed_step():
+    lat = m.build_lattice(4, 1.0, 0.0, 1.0, 1.0)
+    K = lat.steps
+    rng = np.random.default_rng(5)
+    cdf = m.conditional_law(m.random_rule(m.full_tree(lat), rng)).cdf.copy()
+    m.lattice.assert_adapted(lat, cdf)
+    for k in range(K + 1):
+        for b in range(lat.num_paths):
+            bad = cdf.copy()
+            bad[b, k] += 2.0 ** -20 if bad[b, k] < 0.5 else -2.0 ** -20
+            expect = gather_adapted_step(lat, bad)
+            # a K-step prefix is the whole path, so column K is always adapted
+            assert expect == (k if k < K else None)
+            if expect is None:
+                m.lattice.assert_adapted(lat, bad)
+            else:
+                with pytest.raises(ValueError, match=f"cdf not adapted at step {k}$"):
+                    m.lattice.assert_adapted(lat, bad)
+    # changes at step 1 and at step K-1: the first is named
+    bad = cdf.copy()
+    bad[3, 1] += 2.0 ** -10
+    bad[6, K - 1] += 2.0 ** -10
+    with pytest.raises(ValueError, match="cdf not adapted at step 1$"):
+        m.lattice.assert_adapted(lat, bad)
+    bad[:, 1] = cdf[:, 1]
+    with pytest.raises(ValueError, match=f"cdf not adapted at step {K - 1}$"):
+        m.AdaptedMeasure(lat, np.maximum.accumulate(bad, axis=1))
+
+
 def test_stochastic_order_extremes_and_reflexivity():
     lat = m.build_lattice(2, 1.0, 0.0, 1.0, 1.0)
     tree = m.public_tree(lat)

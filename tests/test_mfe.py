@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mfgtiming as m
+from mfgtiming.experiments import _mfe_rule_for
 from mfgtiming.mfe import VERIFY_TOL
 
 
@@ -213,3 +214,27 @@ def test_verification_gap_nonnegative_at_both_bracket_ends(game):
         assert verified.gap >= -VERIFY_TOL
         if end.converged:
             assert end.verification == verified
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bankrun_games(), st.sampled_from([None, 1, 2]))
+def test_nplayer_tasks_rule_is_the_bracket_top(game, max_iter):
+    """eps-nash and converge run only the descending iteration; its rule is
+    the bracket's rule_max."""
+    F, tree, lat = game
+    rule = _mfe_rule_for({"task": {"max_iter": max_iter}}, lat, F, tree)
+    assert rule == m.solve_mfe(F, tree, lat, max_iter).rule_max
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, None])
+def test_nplayer_tasks_rule_honours_max_iter(max_iter):
+    """On the sigma=1 signal tree at K=4 the descending iteration moves twice
+    and confirms on its third step, so a cap of one changes the rule."""
+    lat = m.build_lattice(4, 0.5, 3.0, 1.0, 1.0)
+    tree = m.build_signal_tree(lat, m.SignalModel(1.0))
+    F = m.bankrun_payoff(m.BankRunParams(rbar=0.1, r=0.0, liquidation=half_liq, d0=1.0), lat)
+    res = m.solve_mfe(F, tree, lat, max_iter)
+    assert res.top.iterations == (3 if max_iter is None else max_iter)
+    assert _mfe_rule_for({"task": {"max_iter": max_iter}}, lat, F, tree) == res.rule_max
+    assert (res.rule_max == m.solve_mfe(F, tree, lat).rule_max) == (max_iter != 1)

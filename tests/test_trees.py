@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfgtiming as m
 from mfgtiming._expect import layer_atoms
@@ -207,6 +209,7 @@ def test_enumerate_rules_cap():
 TREES = {
     "public": m.public_tree,
     "full": m.full_tree,
+    "signal-0": lambda lat: m.build_signal_tree(lat, m.SignalModel(0.0)),
     "signal-0.5": lambda lat: m.build_signal_tree(lat, m.SignalModel(0.5)),
     "signal-1": lambda lat: m.build_signal_tree(lat, m.SignalModel(1.0)),
 }
@@ -232,10 +235,13 @@ def test_tree_structure_matches_joint_paths(name, steps):
         for node, child in set(zip(here.tolist(), there.tolist())):
             assert child in children[node]
         assert sorted(sum(children, [])) == list(range(size_next))
-        marks = rng.random(size)
-        spread = tree.spread_to_children(k, marks)
-        for node in range(size):
-            assert np.all(spread[children[node]] == marks[node])
+        # canonical form marks every child of a stopped node
+        raw = np.zeros(tree.num_nodes, dtype=bool)
+        marks = rng.random(size) < 0.5
+        raw[tree.offsets[k]:tree.offsets[k + 1]] = marks
+        dec = m.StoppingRule(tree, raw).decision
+        for node in np.nonzero(marks)[0].tolist():
+            assert np.all(dec[tree.offsets[k + 1] + np.array(children[node])])
 
 
 def test_full_tree_node_is_base_four_symbol_sequence():
@@ -246,3 +252,58 @@ def test_full_tree_node_is_base_four_symbol_sequence():
         w = np.arange(1 << k)[None, :]
         expect = sum((((b >> j) & 1) + 2 * ((w >> j) & 1)) * 4 ** j for j in range(k))
         assert np.array_equal(tree.prefix_nodes(k), np.broadcast_to(expect, (1 << k, 1 << k)))
+
+
+# -- the per-path rule primitives, kept here as the oracle -----------------
+
+
+def canonical_oracle(tree, raw):
+    """Canonical form by copying each layer's marks onto its children."""
+    dec = raw.copy()
+    forced = np.zeros(1, dtype=bool)
+    for k in range(tree.lat.steps + 1):
+        sl = slice(int(tree.offsets[k]), int(tree.offsets[k + 1]))
+        dec[sl] |= forced
+        if k == tree.lat.steps:
+            dec[sl] = True
+        else:
+            forced = np.tile(dec[sl], tree.num_symbols)
+    return dec
+
+
+def stop_steps_oracle(rule):
+    """First stopped index along every joint path, read node by node."""
+    tree, lat = rule.tree, rule.tree.lat
+    shape = (lat.num_paths, 1) if tree.w_free else (lat.num_paths, lat.num_paths)
+    out = np.full(shape, lat.steps, dtype=np.int16)
+    stopped = np.zeros(shape, dtype=bool)
+    for k, local in tree.joint_layers():
+        dec = rule.decision[tree.offsets[k] + local]
+        newly = dec & ~stopped
+        out[newly] = k
+        stopped |= newly
+    return out
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(TREES)), steps=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1), p_stop=st.sampled_from([0.0, 0.05, 0.25, 0.6, 1.0]))
+def test_rule_primitives_equal_per_path_oracle(name, steps, seed, p_stop):
+    lat = m.build_lattice(steps, 0.5, 3.0, 1.0, 1.0)
+    tree = TREES[name](lat)
+    rng = np.random.default_rng(seed)
+    raw = rng.random(tree.num_nodes) < p_stop
+    rule = m.StoppingRule(tree, raw)
+    want = canonical_oracle(tree, raw)
+    assert rule.decision.dtype == want.dtype and np.array_equal(rule.decision, want)
+    got, expect = rule.stop_steps(), stop_steps_oracle(rule)
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert np.array_equal(got, expect)
+    # the constructors that skip canonicalising, or build from times, stay canonical
+    k0 = int(rng.integers(0, steps + 1))
+    at = m.StoppingRule.stop_at(tree, k0)
+    assert np.array_equal(at.decision, canonical_oracle(tree, at.decision))
+    assert np.array_equal(at.stop_steps(), stop_steps_oracle(at))
+    timed = m.StoppingRule.from_times(tree, expect)
+    assert np.array_equal(timed.decision, canonical_oracle(tree, timed.decision))
+    assert timed == rule
