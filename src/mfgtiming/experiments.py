@@ -40,11 +40,13 @@ _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _LIQUIDATION_PRESETS = ("linear", "sqrt")
 _PHI_PRESETS = ("zero", "relu", "affine", "neg_part", "concave_ramp")
 _F_PRESETS = ("identity_y", "common_plus_y")
+_COUNT = {"type": "integer", "minimum": 1}
+_N_LIST = {"type": "array", "minItems": 1, "items": _COUNT}
 
 
-def _payoff_kind(kind: str, required: tuple = (), **fields) -> dict:
-    """Schema branch of one payoff kind: its required keys, and no key
-    besides ``kind`` and its own fields."""
+def _kind_branch(kind: str, required: tuple = (), **fields) -> dict:
+    """Schema branch of one payoff or task kind: its required keys, and no
+    key besides ``kind`` and its own fields."""
     return {"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
             "then": {"required": list(required), "additionalProperties": False,
                      "properties": {"kind": {}, **fields}}}
@@ -77,19 +79,19 @@ CONFIG_SCHEMA: dict = {
                                   "constant", "crowd_fraction"]},
             },
             "allOf": [
-                _payoff_kind("bankrun", ("rbar", "r"), rbar=_NUMBER, r=_NUMBER,
+                _kind_branch("bankrun", ("rbar", "r"), rbar=_NUMBER, r=_NUMBER,
                              d0=_POSITIVE, liquidation={
                                  "type": "object", "additionalProperties": False,
                                  "properties": {
                                      "preset": {"enum": list(_LIQUIDATION_PRESETS)},
                                      "a": _NUMBER, "c": _NUMBER}}),
-                _payoff_kind("crowd_discount", ("r", "c"), r=_POSITIVE, c=_POSITIVE),
-                _payoff_kind("diffusion", f={"enum": list(_F_PRESETS)}, phi={
+                _kind_branch("crowd_discount", ("r", "c"), r=_POSITIVE, c=_POSITIVE),
+                _kind_branch("diffusion", f={"enum": list(_F_PRESETS)}, phi={
                     "type": "object", "additionalProperties": False,
                     "properties": {"preset": {"enum": list(_PHI_PRESETS)},
                                    "scale": _NUMBER}}),
-                _payoff_kind("constant", value=_NUMBER),
-                _payoff_kind("crowd_fraction"),
+                _kind_branch("constant", value=_NUMBER),
+                _kind_branch("crowd_fraction"),
             ],
         },
         "info": {
@@ -101,24 +103,27 @@ CONFIG_SCHEMA: dict = {
                 "sigma": {"type": "number", "minimum": 0},
             },
         },
-        "closed_interval": {"type": "boolean"},
+        "closed_interval": {"type": "boolean"},  # bankrun only, see validate_config
         "seed": {"type": "integer", "minimum": 0},
         "task": {
             "type": "object",
             "required": ["kind"],
-            "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["solve-mfe", "check", "eps-nash",
                                   "converge", "bankrun-demo"]},
-                "max_iter": {"type": "integer", "minimum": 1},
-                "trials": {"type": "integer", "minimum": 1},
-                "exhaustive": {"type": "boolean"},
-                "submartingale_pairs": {"type": "integer", "minimum": 0},
-                "n_list": {"type": "array", "minItems": 1,
-                           "items": {"type": "integer", "minimum": 1}},
-                "method": {"enum": ["exact", "monte-carlo"]},
-                "samples": {"type": "integer", "minimum": 1},
             },
+            "allOf": [
+                _kind_branch("solve-mfe", max_iter=_COUNT),
+                _kind_branch("check", ("trials",), trials=_COUNT,
+                             exhaustive={"type": "boolean"},
+                             submartingale_pairs={"type": "integer", "minimum": 0}),
+                _kind_branch("eps-nash", ("n_list",), n_list=_N_LIST,
+                             method={"enum": ["exact", "monte-carlo"]},
+                             samples=_COUNT, max_iter=_COUNT),
+                _kind_branch("converge", ("n_list", "samples"), n_list=_N_LIST,
+                             samples=_COUNT, max_iter=_COUNT),
+                _kind_branch("bankrun-demo", max_iter=_COUNT),
+            ],
         },
         "output": {
             "type": "object",
@@ -151,18 +156,14 @@ def validate_config(config: dict) -> None:
     payoff = config["payoff"]
     if payoff["kind"] == "bankrun" and payoff["rbar"] <= payoff["r"]:
         raise ConfigError("$.payoff.rbar: must exceed $.payoff.r")
+    if "closed_interval" in config and payoff["kind"] != "bankrun":
+        raise ConfigError("$.closed_interval: only the bankrun payoff reads it")
     task = config["task"]
     kind = task["kind"]
-    if kind == "check" and "trials" not in task:
-        raise ConfigError("$.task.trials: required for check")
     if kind in ("eps-nash", "converge"):
-        if "n_list" not in task:
-            raise ConfigError(f"$.task.n_list: required for {kind}")
         ns = task["n_list"]
         if sorted(ns) != ns or len(set(ns)) != len(ns):
             raise ConfigError("$.task.n_list: must be strictly ascending")
-        if kind == "converge" and "samples" not in task:
-            raise ConfigError("$.task.samples: required for converge")
     if kind == "bankrun-demo":
         if config["payoff"]["kind"] != "bankrun":
             raise ConfigError("$.payoff.kind: bankrun-demo needs the bankrun payoff")
@@ -223,9 +224,9 @@ def build_payoff(config: dict, lat: LatticeModel) -> PayoffSpec:
         phi = _make_phi(cfg.get("phi", {}), lat)
         return diffusion_payoff(DiffusionPayoffParams(f=f, phi=phi), lat)
     if kind == "constant":
-        return constant_payoff(float(cfg.get("value", 1.0)), lat)
+        return constant_payoff(float(cfg.get("value", 1.0)))
     if kind == "crowd_fraction":
-        return crowd_fraction_payoff(lat)
+        return crowd_fraction_payoff()
     raise ConfigError(f"$.payoff.kind: unknown kind {kind!r}")
 
 
@@ -296,18 +297,18 @@ def equilibrium_payload(res: EquilibriumResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _task_solve_mfe(config, lat, payoff, tree) -> dict:
-    res = solve_mfe(payoff, tree, lat, config["task"].get("max_iter"))
+def _task_solve_mfe(config, payoff, tree) -> dict:
+    res = solve_mfe(payoff, tree, max_iter=config["task"].get("max_iter"))
     out = equilibrium_payload(res)
     for name, end in (("verify_top", res.top), ("verify_bottom", res.bottom)):
         v = end.verification  # a converged end's last step already solved its law
         if v is None:
-            v = verify_mfe(payoff, end.rule, tree, lat)
+            v = verify_mfe(payoff, end.rule)
         out[name] = {"is_mfe": v.is_mfe, "gap": v.gap}
     return out
 
 
-def _task_check(config, lat, payoff, tree) -> dict:
+def _task_check(config, payoff, tree) -> dict:
     task = config["task"]
     seed = config["seed"]
     if task.get("exhaustive", False):
@@ -315,9 +316,9 @@ def _task_check(config, lat, payoff, tree) -> dict:
         if rules > RULE_CAP:
             raise ConfigError(f"$.task.exhaustive: the {tree.kind} tree has {rules} rules, "
                               f"past the cap {RULE_CAP}; sample with trials")
-        report = exhaustive_increasing_differences(payoff, lat, tree)
+        report = exhaustive_increasing_differences(payoff, tree)
     else:
-        report = check_increasing_differences(payoff, lat, task["trials"], seed, tree)
+        report = check_increasing_differences(payoff, tree, task["trials"], seed)
     out = {
         "increasing_differences": {
             "passed": report.passed,
@@ -337,8 +338,8 @@ def _task_check(config, lat, payoff, tree) -> dict:
         rng = derive_rng(seed, STREAM_CHECK)
         rows = []
         for _ in range(pairs):
-            early, late = sample_ordered_measures(lat, rng, tree)
-            rep = check_submartingale(payoff, early, late, lat)
+            early, late = sample_ordered_measures(tree, rng)
+            rep = check_submartingale(payoff, early, late)
             rows.append({"passed": rep.passed, "worst_gap": rep.worst_gap})
         out["submartingale"] = {
             "pairs": pairs,
@@ -348,12 +349,12 @@ def _task_check(config, lat, payoff, tree) -> dict:
     return out
 
 
-def _mfe_rule_for(config, lat, payoff, tree) -> StoppingRule:
+def _mfe_rule_for(config, payoff, tree) -> StoppingRule:
     """The maximal equilibrium rule: only the descending iteration runs."""
-    return iterate_from_top(payoff, tree, lat, config["task"].get("max_iter")).rule
+    return iterate_from_top(payoff, tree, max_iter=config["task"].get("max_iter")).rule
 
 
-def _task_eps_nash(config, lat, payoff, tree) -> dict:
+def _task_eps_nash(config, payoff, tree) -> dict:
     task = config["task"]
     if task.get("method", "exact") == "exact":
         method = Exact()
@@ -366,34 +367,35 @@ def _task_eps_nash(config, lat, payoff, tree) -> dict:
                 f"use method monte-carlo")
     else:
         method = MonteCarlo(task.get("samples", 1000), config["seed"])
-    rule = _mfe_rule_for(config, lat, payoff, tree)
+    rule = _mfe_rule_for(config, payoff, tree)
     rows = []
     for n in task["n_list"]:
-        rep = estimate_epsilon(payoff, rule, n, lat, method)
+        # by keyword: the benchmark's tracer reads `method` to split exact from MC time
+        rep = estimate_epsilon(payoff, rule, n, method=method)
         rows.append({"n": rep.n, "eq_value": rep.eq_value,
                      "best_dev_value": rep.best_dev_value,
                      "epsilon": rep.epsilon, "stderr": rep.stderr})
     return {"mfe_rule": rule_payload(rule), "reports": rows}
 
 
-def _task_converge(config, lat, payoff, tree) -> dict:
+def _task_converge(config, payoff, tree) -> dict:
     task = config["task"]
-    rule = _mfe_rule_for(config, lat, payoff, tree)
-    rows = convergence_experiment(rule, task["n_list"], task["samples"],
-                                  config["seed"], lat)
+    rule = _mfe_rule_for(config, payoff, tree)
+    rows = convergence_experiment(rule, task["n_list"], task["samples"], config["seed"])
     return {"mfe_rule": rule_payload(rule), "rows": rows}
 
 
-def _task_bankrun_demo(config, lat, payoff, tree) -> dict:
+def _task_bankrun_demo(config, payoff, tree) -> dict:
     params = _bankrun_params(config["payoff"])
+    lat = tree.lat
     hitting = public_info_equilibrium(params, lat)
     # full-recovery payoff by direct path enumeration
     rho = params.rbar - params.r
     steps = hitting.stop_steps()[:, 0]
     oracle = float(np.mean(np.exp(rho * lat.grid[steps]))) * params.d0
     law = conditional_law(hitting)
-    achieved = evaluate_J(payoff, law, hitting, lat)
-    res = solve_mfe(payoff, tree, lat, config["task"].get("max_iter"))
+    achieved = evaluate_J(payoff, law, hitting)
+    res = solve_mfe(payoff, tree, max_iter=config["task"].get("max_iter"))
     return {
         "hitting_rule": rule_payload(hitting),
         "stop_step_by_common_path": steps.tolist(),
@@ -437,7 +439,7 @@ def run(config: dict) -> RunRecord:
     lat = build_lattice_from(config)
     payoff = build_payoff(config, lat)
     tree = build_tree(config, lat)
-    result = _TASKS[config["task"]["kind"]](config, lat, payoff, tree)
+    result = _TASKS[config["task"]["kind"]](config, payoff, tree)
     return RunRecord(config=config, version=__version__,
                      wall_time_s=time.perf_counter() - t0, result=result)
 

@@ -69,11 +69,12 @@ class IterationResult:
         return VerifyResult(bool(gap <= VERIFY_TOL), gap)
 
 
-def _iterate(payoff: PayoffSpec, tree: InfoTree, lat: LatticeModel,
-             max_iter: int, descending: bool) -> IterationResult:
+def _iterate(payoff: PayoffSpec, tree: InfoTree, max_iter: Optional[int],
+             descending: bool) -> IterationResult:
+    max_iter = tree.num_nodes + 1 if max_iter is None else max_iter
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    current = StoppingRule.stop_at(tree, lat.steps if descending else 0)
+    current = StoppingRule.stop_at(tree, tree.lat.steps if descending else 0)
     law = conditional_law(current)  # always the law of `current`
     seen = {current.key(): 0}
     trace: list[IterationRecord] = []
@@ -81,7 +82,7 @@ def _iterate(payoff: PayoffSpec, tree: InfoTree, lat: LatticeModel,
     converged = False
     cycle = None
     for i in range(1, max_iter + 1):
-        sol = snell_solve(payoff, law, tree, lat)
+        sol = snell_solve(payoff, law, tree)
         new = sol.rule_max if descending else sol.rule_min
         trace.append(IterationRecord(new, sol.value))
         ordered = new.pointwise_leq(current) if descending else current.pointwise_leq(new)
@@ -97,23 +98,21 @@ def _iterate(payoff: PayoffSpec, tree: InfoTree, lat: LatticeModel,
             cycle = i - prev_visit
             break
         seen[new.key()] = i
-    value = evaluate_J(payoff, law, current, lat)
+    value = evaluate_J(payoff, law, current)
     return IterationResult(current, law, value, trace, converged,
                            len(trace), monotone, cycle)
 
 
-def iterate_from_top(payoff: PayoffSpec, tree: InfoTree, lat: LatticeModel,
+def iterate_from_top(payoff: PayoffSpec, tree: InfoTree, *,
                      max_iter: Optional[int] = None) -> IterationResult:
     """Descending iteration from the stop-at-horizon rule."""
-    max_iter = tree.num_nodes + 1 if max_iter is None else max_iter
-    return _iterate(payoff, tree, lat, max_iter, descending=True)
+    return _iterate(payoff, tree, max_iter, descending=True)
 
 
-def iterate_from_bottom(payoff: PayoffSpec, tree: InfoTree, lat: LatticeModel,
+def iterate_from_bottom(payoff: PayoffSpec, tree: InfoTree, *,
                         max_iter: Optional[int] = None) -> IterationResult:
     """Ascending iteration from the stop-immediately rule."""
-    max_iter = tree.num_nodes + 1 if max_iter is None else max_iter
-    return _iterate(payoff, tree, lat, max_iter, descending=False)
+    return _iterate(payoff, tree, max_iter, descending=False)
 
 
 @dataclass(frozen=True)
@@ -165,28 +164,27 @@ class EquilibriumResult:
         return self.rule_min == self.rule_max
 
 
-def solve_mfe(payoff: PayoffSpec, tree: InfoTree, lat: LatticeModel,
+def solve_mfe(payoff: PayoffSpec, tree: InfoTree, *,
               max_iter: Optional[int] = None) -> EquilibriumResult:
     """Run both iterations and assemble the equilibrium bracket."""
-    top = iterate_from_top(payoff, tree, lat, max_iter)
-    bottom = iterate_from_bottom(payoff, tree, lat, max_iter)
+    top = iterate_from_top(payoff, tree, max_iter=max_iter)
+    bottom = iterate_from_bottom(payoff, tree, max_iter=max_iter)
     result = EquilibriumResult(top, bottom)
     if result.converged and not bottom.rule.pointwise_leq(top.rule):
         raise RuntimeError("bracket violated: ascending end exceeds descending end")
     return result
 
 
-def verify_mfe(payoff: PayoffSpec, rule: StoppingRule, tree: InfoTree,
-               lat: LatticeModel) -> VerifyResult:
+def verify_mfe(payoff: PayoffSpec, rule: StoppingRule) -> VerifyResult:
     """Best-response gap of a rule against the law it induces.
 
-    ``gap = optimal value - achieved value``; it is nonnegative up to
-    tolerance by optimality, and the rule is an equilibrium iff it
-    vanishes.
+    The best response is solved on the rule's own tree.  ``gap =
+    optimal value - achieved value``; it is nonnegative up to tolerance
+    by optimality, and the rule is an equilibrium iff it vanishes.
     """
     law = conditional_law(rule)
-    sol = snell_solve(payoff, law, tree, lat)
-    gap = float(sol.value - evaluate_J(payoff, law, rule, lat))
+    sol = snell_solve(payoff, law, rule.tree)
+    gap = float(sol.value - evaluate_J(payoff, law, rule))
     return VerifyResult(bool(gap <= VERIFY_TOL), gap)
 
 

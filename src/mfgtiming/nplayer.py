@@ -157,8 +157,7 @@ def _exact_crowd(payoff: PayoffSpec, n: int, law: AdaptedMeasure):
     return key, rows
 
 
-def _sampled_crowd(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
-                   mc: MonteCarlo):
+def _sampled_crowd(payoff: PayoffSpec, prof: NPlayerProfile, mc: MonteCarlo):
     """The other n-1 players as ``mc.samples`` seeded draws of their
     idiosyncratic paths, equal rows merged.
 
@@ -168,6 +167,7 @@ def _sampled_crowd(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
     other payoff keys them by the whole common path.
     """
     steps = prof.rule.stop_steps()
+    lat = prof.rule.tree.lat
     n, K, npaths = prof.n, lat.steps, lat.num_paths
 
     def key(k, b_ids):
@@ -179,7 +179,8 @@ def _sampled_crowd(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
         k, b = divmod(crowd_key, npaths)
         spawn = (n, k, b) if payoff.half_open else (n, b)
         rng = derive_rng(mc.seed, STREAM_DEV_PLAN, *spawn)
-        dates = _steps_row(steps, b, rng.integers(npaths, size=(mc.samples, n - 1)))
+        wids = rng.integers(npaths, size=(mc.samples, n - 1))
+        dates = steps[b, wids & (steps.shape[1] - 1)]
         if payoff.half_open:
             dates = np.where(dates < k, 0, K)
         flat = dates + (K + 1) * np.arange(mc.samples)[:, None]  # one date block per draw
@@ -233,19 +234,17 @@ def _field_payoff(payoff: PayoffSpec, n: int, lat: LatticeModel, crowd) -> Payof
 # ---------------------------------------------------------------------------
 
 
-def _steps_row(steps: np.ndarray, b, wids: np.ndarray) -> np.ndarray:
-    if steps.shape[1] == 1:
-        return np.full(np.shape(wids), steps[b, 0], dtype=np.int64)
-    return steps[b, wids].astype(np.int64)
-
-
-def _mc_profile_value(payoff: PayoffSpec, prof: NPlayerProfile,
-                      lat: LatticeModel, mc: MonteCarlo, stream: int,
-                      deviator_rule: Optional[StoppingRule] = None
+def _mc_profile_value(payoff: PayoffSpec, prof: NPlayerProfile, mc: MonteCarlo,
+                      stream: int, deviator_rule: Optional[StoppingRule] = None
                       ) -> tuple[float, float]:
-    """Sampled value of player 1 (optionally playing a different rule)."""
+    """Sampled value of player 1 (optionally playing a different rule).
+
+    Stop steps are indexed as ``steps[b, wids & (width - 1)]``, which
+    serves both the single column of a w-free tree and the joint grid.
+    """
     steps = prof.rule.stop_steps()
     dev_steps = deviator_rule.stop_steps() if deviator_rule is not None else steps
+    lat = prof.rule.tree.lat
     npaths = lat.num_paths
     shape = (npaths, lat.steps + 1)
     values = layer_values(payoff, lat)
@@ -254,8 +253,9 @@ def _mc_profile_value(payoff: PayoffSpec, prof: NPlayerProfile,
         rng = derive_rng(mc.seed, stream, prof.n, s)
         b = int(rng.integers(npaths))
         wids = rng.integers(npaths, size=prof.n)
-        own = int(_steps_row(dev_steps, b, wids[:1])[0])
-        counts = np.bincount(_steps_row(steps, b, wids[1:]), minlength=lat.steps + 1)
+        own = int(dev_steps[b, wids[0] & (dev_steps.shape[1] - 1)])
+        counts = np.bincount(steps[b, wids[1:] & (steps.shape[1] - 1)],
+                             minlength=lat.steps + 1)
         cdf = np.broadcast_to(_crowd_cdfs(counts, own, prof.n), shape)
         vals[s] = values(own, np.array([b]), wids[:1], cdf)[0]
     mean = float(vals.mean())
@@ -268,21 +268,20 @@ def _mc_profile_value(payoff: PayoffSpec, prof: NPlayerProfile,
 # ---------------------------------------------------------------------------
 
 
-def equilibrium_value(payoff: PayoffSpec, prof: NPlayerProfile,
-                      lat: LatticeModel, method) -> float:
+def equilibrium_value(payoff: PayoffSpec, prof: NPlayerProfile, method) -> float:
     """Player 1's expected payoff in the distributed profile.
 
     The empirical measure includes player 1's own date; under the
     half-open convention it never enters the player's own read.
     """
     if isinstance(method, MonteCarlo):
-        return _mc_profile_value(payoff, prof, lat, method, STREAM_EQ_VALUE)[0]
+        return _mc_profile_value(payoff, prof, method, STREAM_EQ_VALUE)[0]
     law = conditional_law(prof.rule)
-    field = _field_payoff(payoff, prof.n, lat, _exact_crowd(payoff, prof.n, law))
-    return evaluate_J(field, law, prof.rule, lat)
+    field = _field_payoff(payoff, prof.n, law.lat, _exact_crowd(payoff, prof.n, law))
+    return evaluate_J(field, law, prof.rule)
 
 
-def _best_deviation(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
+def _best_deviation(payoff: PayoffSpec, prof: NPlayerProfile,
                     method) -> tuple[float, StoppingRule, Optional[float]]:
     """Solve the deviator's stopping problem against the integrated crowd,
     by backward induction on the deviator's own tree.  A Monte Carlo
@@ -291,43 +290,42 @@ def _best_deviation(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
     value), with its standard error."""
     law = conditional_law(prof.rule)
     if isinstance(method, MonteCarlo):
-        crowd = _sampled_crowd(payoff, prof, lat, method)
+        crowd = _sampled_crowd(payoff, prof, method)
     else:
         crowd = _exact_crowd(payoff, prof.n, law)
-    sol = snell_solve(_field_payoff(payoff, prof.n, lat, crowd), law, prof.rule.tree, lat)
+    sol = snell_solve(_field_payoff(payoff, prof.n, law.lat, crowd), law, prof.rule.tree)
     if not isinstance(method, MonteCarlo):
         return sol.value, sol.rule_min, None
-    value, se = _mc_profile_value(payoff, prof, lat, method, STREAM_DEV_EVAL,
+    value, se = _mc_profile_value(payoff, prof, method, STREAM_DEV_EVAL,
                                   deviator_rule=sol.rule_min)
     return value, sol.rule_min, se
 
 
-def best_deviation(payoff: PayoffSpec, prof: NPlayerProfile, lat: LatticeModel,
+def best_deviation(payoff: PayoffSpec, prof: NPlayerProfile,
                    method) -> tuple[float, StoppingRule]:
     """Optimal unilateral deviation value and a rule achieving it."""
-    value, rule, _ = _best_deviation(payoff, prof, lat, method)
+    value, rule, _ = _best_deviation(payoff, prof, method)
     return value, rule
 
 
 def estimate_epsilon(payoff: PayoffSpec, mfe_rule: StoppingRule, n: int,
-                     lat: LatticeModel, method) -> DeviationReport:
+                     method) -> DeviationReport:
     """Assemble the profile and report its approximate-Nash gap."""
     prof = NPlayerProfile(n, mfe_rule)
-    dev, _, se_dev = _best_deviation(payoff, prof, lat, method)
+    dev, _, se_dev = _best_deviation(payoff, prof, method)
     if isinstance(method, MonteCarlo):
-        eq, se_eq = _mc_profile_value(payoff, prof, lat, method, STREAM_EQ_VALUE)
+        eq, se_eq = _mc_profile_value(payoff, prof, method, STREAM_EQ_VALUE)
         stderr = math.hypot(se_eq, se_dev)
         label = f"monte_carlo(samples={method.samples}, seed={method.seed})"
     else:
-        eq = equilibrium_value(payoff, prof, lat, method)
+        eq = equilibrium_value(payoff, prof, method)
         stderr = None
         label = "exact"
     return DeviationReport(n, eq, dev, max(0.0, dev - eq), label, stderr)
 
 
 def convergence_experiment(mfe_rule: StoppingRule, n_list: list[int],
-                           samples: int, seed: int, lat: LatticeModel
-                           ) -> list[dict]:
+                           samples: int, seed: int) -> list[dict]:
     """Mean Kolmogorov distance of the sampled empirical law to its limit.
 
     For each n, draw the common path and n idiosyncratic paths, form the
@@ -342,8 +340,8 @@ def convergence_experiment(mfe_rule: StoppingRule, n_list: list[int],
         raise ValueError("samples must be >= 1")
     steps = mfe_rule.stop_steps()
     law = conditional_law(mfe_rule)
-    npaths = lat.num_paths
-    kk = lat.steps + 1
+    npaths = law.lat.num_paths
+    kk = law.lat.steps + 1
     rows = []
     for n in n_list:
         total = 0.0
@@ -356,7 +354,8 @@ def convergence_experiment(mfe_rule: StoppingRule, n_list: list[int],
                 rng = derive_rng(seed, STREAM_CONVERGE, n, start + i)
                 bs[i] = rng.integers(npaths)
                 wids[i] = rng.integers(npaths, size=n)
-            flat = _steps_row(steps, bs[:, None], wids) + kk * np.arange(count)[:, None]
+            flat = (steps[bs[:, None], wids & (steps.shape[1] - 1)]
+                    + kk * np.arange(count)[:, None])
             counts = np.bincount(flat.ravel(), minlength=count * kk).reshape(count, kk)
             emp_cdf = np.cumsum(counts, axis=1) / n
             for dist in np.max(np.abs(emp_cdf - law.cdf[bs]), axis=1).tolist():

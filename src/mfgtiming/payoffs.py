@@ -55,7 +55,7 @@ import numpy as np
 from ._expect import layer_values, stop_reward_layers
 from .lattice import AdaptedMeasure, GridMeasure, LatticeModel, stochastic_leq
 from .trees import (InfoTree, StoppingRule, conditional_law, enumerate_rules,
-                    full_tree, public_tree, random_rule)
+                    full_tree, random_rule)
 
 INEQ_TOL = 1e-9
 
@@ -211,7 +211,7 @@ def diffusion_payoff(p: DiffusionPayoffParams, lat: LatticeModel) -> PayoffSpec:
                       reads_full_path=False, label="diffusion")
 
 
-def constant_payoff(c: float, lat: LatticeModel) -> PayoffSpec:
+def constant_payoff(c: float) -> PayoffSpec:
     def evaluate_layer(k, b_ids, w_ids, cdf):
         return np.full(len(b_ids), c, dtype=float)
 
@@ -220,7 +220,7 @@ def constant_payoff(c: float, lat: LatticeModel) -> PayoffSpec:
                       evaluate_layer=evaluate_layer)
 
 
-def crowd_fraction_payoff(lat: LatticeModel) -> PayoffSpec:
+def crowd_fraction_payoff() -> PayoffSpec:
     """The crowd share already stopped, ``F = m[0, t)``.
 
     The canonical payoff that cannot have increasing differences unless
@@ -239,8 +239,7 @@ def crowd_fraction_payoff(lat: LatticeModel) -> PayoffSpec:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_J(payoff: PayoffSpec, mu: AdaptedMeasure, rule: StoppingRule,
-               lat: LatticeModel) -> float:
+def evaluate_J(payoff: PayoffSpec, mu: AdaptedMeasure, rule: StoppingRule) -> float:
     """Exact expected reward of following ``rule`` against crowd ``mu``.
 
     The expectation runs over all 4**K joint paths.  It is a sum of
@@ -250,7 +249,8 @@ def evaluate_J(payoff: PayoffSpec, mu: AdaptedMeasure, rule: StoppingRule,
     Values come a date at a time from the payoff's layer kernel (or its
     scalar adapter), and the terms are added one by one in that order.
     """
-    if rule.tree.lat != lat or mu.lat != lat:
+    lat = rule.tree.lat
+    if mu.lat != lat:
         raise ValueError("lattice mismatch")
     steps = rule.stop_steps()
     n, kk = lat.num_paths, lat.steps + 1
@@ -290,33 +290,25 @@ def _prefix_group_mean(lat: LatticeModel, arr: np.ndarray) -> np.ndarray:
     for k in range(lat.steps + 1):
         key = ids & ((1 << k) - 1)
         sums = np.bincount(key, weights=arr[:, k], minlength=1 << k)
-        cnts = np.bincount(key, minlength=1 << k)
-        out[:, k] = (sums / cnts)[key]
+        out[:, k] = (sums / (lat.num_paths >> k))[key]  # each prefix has 2**(K-k) paths
     return out
 
 
-def _default_check_tree(lat: LatticeModel) -> InfoTree:
-    """The checkers' tree: the full tree on small lattices, else the public tree."""
-    return full_tree(lat) if lat.steps <= 5 else public_tree(lat)
-
-
-def sample_ordered_measures(lat: LatticeModel, rng: np.random.Generator,
-                            tree: Optional[InfoTree] = None
+def sample_ordered_measures(tree: InfoTree, rng: np.random.Generator
                             ) -> tuple[AdaptedMeasure, AdaptedMeasure]:
     """Draw an ordered pair ``early <= late`` of adapted measures.
 
-    ``late`` is the conditional law of a random rule; ``early`` pushes
-    its CDF up by adapted multiplicative bumps clamped to [0, 1], which
-    preserves adaptedness and covers non-comonotone ordered pairs.
+    ``late`` is the conditional law of a random rule on ``tree``;
+    ``early`` pushes its CDF up by adapted multiplicative bumps clamped
+    to [0, 1], which preserves adaptedness and covers non-comonotone
+    ordered pairs.
     """
-    if tree is None:
-        tree = _default_check_tree(lat)
     late = conditional_law(random_rule(tree, rng, p_stop=float(rng.uniform(0.1, 0.5))))
-    bumps = _prefix_group_mean(lat, rng.exponential(0.6, size=late.cdf.shape))
+    bumps = _prefix_group_mean(tree.lat, rng.exponential(0.6, size=late.cdf.shape))
     cdf = np.minimum(1.0, late.cdf * (1.0 + bumps))
     cdf = np.maximum.accumulate(cdf, axis=1)
     cdf[:, -1] = 1.0
-    early = AdaptedMeasure(lat, cdf)
+    early = AdaptedMeasure(tree.lat, cdf)
     return early, late
 
 
@@ -351,18 +343,18 @@ class CheckReport:
     trials: int
 
 
-def _id_gap(payoff, early_mu, late_mu, early_rule, late_rule, lat):
-    lhs = (evaluate_J(payoff, late_mu, late_rule, lat)
-           - evaluate_J(payoff, late_mu, early_rule, lat))
-    rhs = (evaluate_J(payoff, early_mu, late_rule, lat)
-           - evaluate_J(payoff, early_mu, early_rule, lat))
+def _id_gap(payoff, early_mu, late_mu, early_rule, late_rule):
+    lhs = (evaluate_J(payoff, late_mu, late_rule)
+           - evaluate_J(payoff, late_mu, early_rule))
+    rhs = (evaluate_J(payoff, early_mu, late_rule)
+           - evaluate_J(payoff, early_mu, early_rule))
     return lhs, rhs
 
 
-def check_increasing_differences(payoff: PayoffSpec, lat: LatticeModel,
-                                 trials: int, seed: int,
-                                 tree: Optional[InfoTree] = None) -> CheckReport:
-    """Sample ordered measure/rule pairs and test the gain-from-waiting order.
+def check_increasing_differences(payoff: PayoffSpec, tree: InfoTree,
+                                 trials: int, seed: int) -> CheckReport:
+    """Sample ordered measure/rule pairs on ``tree`` and test the
+    gain-from-waiting order.
 
     The expected gain from stopping later must not shrink when the
     crowd stops later.  Sampling evidence only: exhausting the trials
@@ -370,21 +362,18 @@ def check_increasing_differences(payoff: PayoffSpec, lat: LatticeModel,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if tree is None:
-        tree = _default_check_tree(lat)
     rng = np.random.default_rng(seed)
     for i in range(trials):
-        early_mu, late_mu = sample_ordered_measures(lat, rng, tree)
+        early_mu, late_mu = sample_ordered_measures(tree, rng)
         early_rule, late_rule = sample_ordered_rules(tree, rng)
-        lhs, rhs = _id_gap(payoff, early_mu, late_mu, early_rule, late_rule, lat)
+        lhs, rhs = _id_gap(payoff, early_mu, late_mu, early_rule, late_rule)
         if lhs < rhs - INEQ_TOL:
             return CheckReport(False, OrderViolation(
                 early_mu, late_mu, early_rule, late_rule, lhs, rhs), i + 1)
     return CheckReport(True, None, trials)
 
 
-def exhaustive_increasing_differences(payoff: PayoffSpec, lat: LatticeModel,
-                                      tree: InfoTree) -> CheckReport:
+def exhaustive_increasing_differences(payoff: PayoffSpec, tree: InfoTree) -> CheckReport:
     """Exhaust every ordered quadruple over the tree's canonical rules.
 
     Measures range over the conditional laws of all rules; stopping
@@ -392,7 +381,7 @@ def exhaustive_increasing_differences(payoff: PayoffSpec, lat: LatticeModel,
     """
     rules = list(enumerate_rules(tree))
     laws = [conditional_law(r) for r in rules]
-    j_table = np.array([[evaluate_J(payoff, law, r, lat) for r in rules]
+    j_table = np.array([[evaluate_J(payoff, law, r) for r in rules]
                         for law in laws])
     checked = 0
     for a, mu_a in enumerate(laws):
@@ -425,8 +414,7 @@ class SubmartingaleReport:
 
 
 def check_submartingale(payoff: PayoffSpec, mu: AdaptedMeasure,
-                        mu_tilde: AdaptedMeasure, lat: LatticeModel
-                        ) -> SubmartingaleReport:
+                        mu_tilde: AdaptedMeasure) -> SubmartingaleReport:
     """Check the crowd-difference process drifts up on the joint tree.
 
     With ``mu <= mu_tilde`` (the second stops later), the difference
@@ -437,13 +425,13 @@ def check_submartingale(payoff: PayoffSpec, mu: AdaptedMeasure,
     """
     if not stochastic_leq(mu, mu_tilde):
         raise ValueError("pair not stochastically ordered")
-    tree = full_tree(lat)
+    tree = full_tree(mu.lat)
     late = stop_reward_layers(payoff, mu_tilde, tree)
     early = stop_reward_layers(payoff, mu, tree)
     m_layers = [lt - er for lt, er in zip(late, early)]
     worst = math.inf
     worst_node = None
-    for k in range(lat.steps):
+    for k in range(tree.lat.steps):
         drift = tree.continuation(k, m_layers[k + 1]) - m_layers[k]
         j = int(np.argmin(drift))
         if drift[j] < worst:

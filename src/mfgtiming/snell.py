@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._expect import stop_reward_layers
-from .lattice import AdaptedMeasure, LatticeModel
+from .lattice import AdaptedMeasure
 from .payoffs import evaluate_J
 from .trees import InfoTree, StoppingRule, enumerate_rules
 
@@ -38,19 +38,17 @@ class SnellSolution:
         return np.maximum(self.stop_rewards[k], self.continuations[k])
 
 
-def snell_solve(payoff, mu: AdaptedMeasure, tree: InfoTree,
-                lat: LatticeModel | None = None) -> SnellSolution:
+def snell_solve(payoff, mu: AdaptedMeasure, tree: InfoTree) -> SnellSolution:
     """Solve the stopping problem for a fixed crowd measure.
 
     Stop rewards are exact posterior-weighted conditional expectations;
     continuation values average the children.  Horizon nodes are forced
     stops.
     """
-    lat = lat or tree.lat
-    if tree.lat != lat or mu.lat != lat:
+    if mu.lat != tree.lat:
         raise ValueError("lattice mismatch")
     rewards = stop_reward_layers(payoff, mu, tree)
-    K = lat.steps
+    K = tree.lat.steps
     conts: list = [None] * (K + 1)
     conts[K] = rewards[K]
     dec_min = np.zeros(tree.num_nodes, dtype=bool)
@@ -88,8 +86,7 @@ class BruteForceResult:
     rules_searched: int
 
 
-def brute_force_optimal(payoff, mu: AdaptedMeasure, tree: InfoTree,
-                        lat: LatticeModel | None = None) -> BruteForceResult:
+def brute_force_optimal(payoff, mu: AdaptedMeasure, tree: InfoTree) -> BruteForceResult:
     """Exhaustively evaluate every canonical rule on the tree.
 
     Returns the optimal value together with the pointwise-minimal and
@@ -97,9 +94,10 @@ def brute_force_optimal(payoff, mu: AdaptedMeasure, tree: InfoTree,
     optimum (ties form a lattice, so the pointwise extremes of the tie
     set are themselves optimal rules).
     """
-    lat = lat or tree.lat
+    if mu.lat != tree.lat:
+        raise ValueError("lattice mismatch")
     rules = list(enumerate_rules(tree))  # raises past RULE_CAP
-    value = {rule.key(): evaluate_J(payoff, mu, rule, lat) for rule in rules}
+    value = {rule.key(): evaluate_J(payoff, mu, rule) for rule in rules}
     best = max(value.values())
     tied = np.stack([rule.stop_steps() for rule in rules
                      if value[rule.key()] >= best - TIE_TOL])

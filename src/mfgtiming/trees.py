@@ -17,12 +17,11 @@ two prefixes as base-4 digits ``b_j + 2*w_j``.  Nodes are numbered
 layer by layer; ``offsets[k] + local`` is the absolute id of local node
 ``local`` at date ``t_k``.  A stopping rule is a stop/continue mark per
 node; measurability is structural because the decision can only read
-the node.  Rules are kept in canonical form (every descendant of a
-stopped node is marked stop), which makes rule equality equivalent to
-equality of the induced stopping times.  Stop steps are read from that
-form: a path stops on a suffix of its nodes, so its stop index follows
-from how many stopped nodes it passes.  Every constructor must keep
-rules canonical.
+the node.  ``StoppingRule`` canonicalises every decision it is given
+(every descendant of a stopped node is marked stop), which makes rule
+equality equivalent to equality of the induced stopping times.  Stop
+steps are read from that form: a path stops on a suffix of its nodes,
+so its stop index follows from how many stopped nodes it passes.
 """
 
 from __future__ import annotations
@@ -186,12 +185,11 @@ class StoppingRule:
 
     __slots__ = ("tree", "decision", "_steps")
 
-    def __init__(self, tree: InfoTree, decision: np.ndarray, _canonical: bool = False):
+    def __init__(self, tree: InfoTree, decision: np.ndarray):
         decision = np.asarray(decision, dtype=bool)
         if decision.shape != (tree.num_nodes,):
             raise ValueError("decision must have one entry per node")
-        if not _canonical:
-            decision = _canonicalize(tree, decision)
+        decision = _canonicalize(tree, decision)
         decision.setflags(write=False)
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "decision", decision)
@@ -209,7 +207,7 @@ class StoppingRule:
             raise ValueError("k0 outside the grid")
         dec = np.zeros(tree.num_nodes, dtype=bool)
         dec[tree.offsets[k0]:] = True
-        return cls(tree, dec, _canonical=True)
+        return cls(tree, dec)
 
     @classmethod
     def from_times(cls, tree: InfoTree, steps: np.ndarray) -> "StoppingRule":
@@ -241,7 +239,6 @@ class StoppingRule:
         Shape (2**K, 1) for w-free trees, else (2**K, 2**K).  Read from
         canonical form: a path stops on a suffix of its nodes, so its
         stop index is K+1 less the number of stopped nodes it passes.
-        Every constructor must therefore keep the rule canonical.
         """
         if self._steps is not None:
             return self._steps

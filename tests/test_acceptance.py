@@ -36,7 +36,7 @@ def _c1_solve():
     tree = m.public_tree(lat)
     params = m.BankRunParams(C1["rbar"], C1["r"], half_liq, C1["d0"])
     payoff = m.bankrun_payoff(params, lat)
-    res = m.solve_mfe(payoff, tree, lat)
+    res = m.solve_mfe(payoff, tree)
     hitting = m.public_info_equilibrium(params, lat)
     return lat, payoff, res, hitting
 
@@ -105,8 +105,8 @@ def test_acceptance_2_oracle_equivalence():
 
         payoff = m.PayoffSpec(ev, w_dependent=False, reads_full_path=False, half_open=True)
         mu = m.conditional_law(m.random_rule(tree, rng))
-        sol = m.snell_solve(payoff, mu, tree, lat)
-        res = m.brute_force_optimal(payoff, mu, tree, lat)
+        sol = m.snell_solve(payoff, mu, tree)
+        res = m.brute_force_optimal(payoff, mu, tree)
         worst = max(worst, abs(sol.value - res.value))
         assert abs(sol.value - res.value) <= 1e-9
         assert np.array_equal(sol.rule_min.stop_steps(), res.rule_min.stop_steps())
@@ -141,7 +141,7 @@ def _battery():
     return [
         ("bank run, public, K=10", bank10, m.public_tree(lat10), lat10),
         ("bank run, signal, K=5", bank5, m.build_signal_tree(lat5, m.SignalModel(1.0)), lat5),
-        ("constant", m.constant_payoff(1.0, lat4), m.public_tree(lat4), lat4),
+        ("constant", m.constant_payoff(1.0), m.public_tree(lat4), lat4),
         ("crowd-independent concave spot", conc, m.public_tree(lat4), lat4),
         ("concave-kernel diffusion", diff4, m.public_tree(lat4), lat4),
     ]
@@ -150,7 +150,7 @@ def _battery():
 def test_acceptance_3_monotone_iteration_invariants():
     checked = 0
     for name, payoff, tree, lat in _battery():
-        res = m.solve_mfe(payoff, tree, lat)
+        res = m.solve_mfe(payoff, tree)
         assert res.converged, name
         assert res.iterations <= 2 * (tree.num_nodes + 1), name
         assert res.top.iterations <= tree.num_nodes + 1, name
@@ -165,7 +165,7 @@ def test_acceptance_3_monotone_iteration_invariants():
             prev = rec.rule
         assert res.rule_min.pointwise_leq(res.rule_max), name
         for rule in (res.rule_max, res.rule_min):
-            v = m.verify_mfe(payoff, rule, tree, lat)
+            v = m.verify_mfe(payoff, rule)
             assert v.is_mfe and v.gap <= 1e-9, name
         checked += 1
     report(3, True, f"{checked} converged solves: monotone traces, ordered "
@@ -181,15 +181,15 @@ def test_acceptance_4_complementarity_checkers():
     t0 = time.monotonic()
     # (a) constant payoff passes the sampled check with 1000 trials
     lat3 = m.build_lattice(3, 0.5, 0.0, 1.0, 1.0)
-    rep_a = m.check_increasing_differences(m.constant_payoff(1.0, lat3), lat3,
+    rep_a = m.check_increasing_differences(m.constant_payoff(1.0), m.full_tree(lat3),
                                            trials=1000, seed=20260810)
     assert rep_a.passed and rep_a.trials == 1000
 
     # (b) the crowd-share payoff F = m[0,t) fails, by exhaustive search at
     # K=2, with an explicit ordered violation quadruple
     lat2 = m.build_lattice(2, 0.5, 0.0, 1.0, 1.0)
-    rep_b = m.exhaustive_increasing_differences(m.crowd_fraction_payoff(lat2),
-                                                lat2, m.public_tree(lat2))
+    rep_b = m.exhaustive_increasing_differences(m.crowd_fraction_payoff(),
+                                                m.public_tree(lat2))
     assert not rep_b.passed
     v = rep_b.violation
     assert v is not None and v.lhs < v.rhs - 1e-9
@@ -206,10 +206,11 @@ def test_acceptance_4_complementarity_checkers():
     payoff_c = m.diffusion_payoff(m.DiffusionPayoffParams(
         f=lambda x, y, t: y, phi=lambda u: u + horizon), lat4)
     rng = np.random.default_rng(20260810)
+    full4 = m.full_tree(lat4)
     worst = math.inf
     for _ in range(100):
-        early, late = m.sample_ordered_measures(lat4, rng)
-        rep_c = m.check_submartingale(payoff_c, early, late, lat4)
+        early, late = m.sample_ordered_measures(full4, rng)
+        rep_c = m.check_submartingale(payoff_c, early, late)
         worst = min(worst, rep_c.worst_gap)
         assert rep_c.passed
     assert worst >= -1e-9
@@ -235,17 +236,17 @@ def test_acceptance_5_eps_nash_convergence():
     lat = m.build_lattice(6, 0.5, 1.5, 1.0, 1.0)
     tree = m.public_tree(lat)
     payoff = m.bankrun_payoff(m.BankRunParams(0.32, 0.0, half_liq, 1.0), lat)
-    res = m.solve_mfe(payoff, tree, lat)
+    res = m.solve_mfe(payoff, tree)
     assert res.converged
     # the maximal equilibrium of this game is exactly Nash at every n;
     # the decaying gap is exhibited at the minimal (panic) equilibrium,
     # which verifies as an equilibrium in its own right
     rule = res.rule_min
-    assert m.verify_mfe(payoff, rule, tree, lat).is_mfe
+    assert m.verify_mfe(payoff, rule).is_mfe
     ns = (2, 4, 8, 16, 32)
     eps = []
     for n in ns:
-        rep = m.estimate_epsilon(payoff, rule, n, lat, m.Exact())
+        rep = m.estimate_epsilon(payoff, rule, n, m.Exact())
         assert rep.epsilon >= 0.0
         eps.append(rep.epsilon)
     nonincreasing = sum(1 for i in range(4) if eps[i + 1] <= eps[i] + 1e-12)
@@ -274,24 +275,24 @@ def test_acceptance_6_zero_gap_controls():
     tree = m.public_tree(lat)
     spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) ** 2,
                         w_dependent=False, reads_full_path=False, half_open=True)
-    res = m.solve_mfe(spot, tree, lat)
+    res = m.solve_mfe(spot, tree)
     worst = 0.0
     for n in (1, 2, 5, 16, 64):
-        rep = m.estimate_epsilon(spot, res.rule_max, n, lat, m.Exact())
+        rep = m.estimate_epsilon(spot, res.rule_max, n, m.Exact())
         worst = max(worst, rep.epsilon)
         assert rep.epsilon <= 1e-12
     # constant payoff: every forced trivial output
-    const = m.constant_payoff(1.0, lat)
-    cres = m.solve_mfe(const, tree, lat)
+    const = m.constant_payoff(1.0)
+    cres = m.solve_mfe(const, tree)
     assert cres.rule_max == m.StoppingRule.stop_at(tree, lat.steps)
     assert cres.rule_min == m.StoppingRule.stop_at(tree, 0)
     assert cres.value_max == cres.value_min == 1.0
-    sol = m.snell_solve(const, cres.law_max, tree, lat)
+    sol = m.snell_solve(const, cres.law_max, tree)
     assert sol.value == 1.0
     assert sol.rule_min == m.StoppingRule.stop_at(tree, 0)
     assert sol.rule_max == m.StoppingRule.stop_at(tree, lat.steps)
     for n in (1, 3, 9):
-        assert m.estimate_epsilon(const, cres.rule_max, n, lat, m.Exact()).epsilon == 0.0
+        assert m.estimate_epsilon(const, cres.rule_max, n, m.Exact()).epsilon == 0.0
     report(6, True, f"crowd-independent eps <= 1e-12 (worst {worst:.1e}); "
                     f"constant payoff takes all forced values")
 
@@ -313,13 +314,13 @@ def test_acceptance_7_filtering():
         rule_sig = m.StoppingRule(sig0, rule_pub.decision)
         mu_pub, mu_sig = m.conditional_law(rule_pub), m.conditional_law(rule_sig)
         assert np.array_equal(mu_pub.cdf, mu_sig.cdf)
-        a = m.snell_solve(payoff, mu_pub, pub, lat)
-        b = m.snell_solve(payoff, mu_sig, sig0, lat)
+        a = m.snell_solve(payoff, mu_pub, pub)
+        b = m.snell_solve(payoff, mu_sig, sig0)
         assert a.value == b.value
         assert np.array_equal(a.rule_min.stop_steps(), b.rule_min.stop_steps())
         assert np.array_equal(a.rule_max.stop_steps(), b.rule_max.stop_steps())
-    res_pub = m.solve_mfe(payoff, pub, lat)
-    res_sig = m.solve_mfe(payoff, sig0, lat)
+    res_pub = m.solve_mfe(payoff, pub)
+    res_sig = m.solve_mfe(payoff, sig0)
     assert res_pub.value_max == res_sig.value_max
     assert np.array_equal(res_pub.rule_max.stop_steps(),
                           res_sig.rule_max.stop_steps())
@@ -355,11 +356,11 @@ def test_acceptance_8_empirical_law_convergence():
     lat = m.build_lattice(6, 0.5, 3.0, 1.0, 1.0)
     sig = m.build_signal_tree(lat, m.SignalModel(1.0))
     payoff = m.bankrun_payoff(m.BankRunParams(0.1, 0.0, half_liq), lat)
-    res = m.solve_mfe(payoff, sig, lat)
+    res = m.solve_mfe(payoff, sig)
     assert res.top.converged
-    assert m.verify_mfe(payoff, res.rule_max, sig, lat).is_mfe
+    assert m.verify_mfe(payoff, res.rule_max).is_mfe
     rows = m.convergence_experiment(res.rule_max, [4, 16, 64, 256], 2000,
-                                    20260810, lat)
+                                    20260810)
     dists = [r["mean_kolmogorov_distance"] for r in rows]
     decreasing = sum(1 for i in range(3) if dists[i + 1] <= dists[i])
     elapsed = time.monotonic() - t0

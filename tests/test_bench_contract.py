@@ -126,6 +126,23 @@ def test_bankrun_tasks_run_on_the_payoff_kernels(tmp_path):
     assert got["metrics"]["expect.stop_rewards_calls"] > 0
 
 
+@pytest.mark.parametrize("method, own, other", [
+    ("monte-carlo", "nplayer.mc_s", "nplayer.exact_s"),
+    ("exact", "nplayer.exact_s", "nplayer.mc_s"),
+])
+def test_tracer_attributes_epsilon_time_to_its_method(tmp_path, method, own, other):
+    """The tracer names the ``estimate_epsilon`` span after its ``method``,
+    which it finds by keyword or as the fifth positional argument; a
+    config of one method alone puts all its time there."""
+    task = {"kind": "eps-nash", "n_list": [2, 4], "method": method}
+    if method == "monte-carlo":
+        task["samples"] = 20
+    got = traced([config(task)], tmp_path)
+    assert got["missing"] == []
+    assert got["metrics"][own] > 0
+    assert got["metrics"][other] == 0
+
+
 def diffusion_configs():
     return [config({"kind": "solve-mfe"}, payoff=DIFFUSION),
             config({"kind": "eps-nash", "n_list": [2], "method": "exact"},

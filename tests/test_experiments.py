@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -273,6 +274,64 @@ def test_cli_invalid_values_exit_2_before_solving(tmp_path, capsys, monkeypatch,
     _cli_rejects(tmp_path, capsys, base_config(**over), *expect)
 
 
+# the task keys each kind reads, and a minimal valid task of that kind
+TASK_VALUES = {"max_iter": 3, "trials": 5, "exhaustive": False, "submartingale_pairs": 1,
+               "n_list": [2], "method": "exact", "samples": 10}
+TASK_READS = {
+    "solve-mfe": ({}, ("max_iter",)),
+    "check": ({"trials": 5}, ("trials", "exhaustive", "submartingale_pairs")),
+    "eps-nash": ({"n_list": [2]}, ("n_list", "method", "samples", "max_iter")),
+    "converge": ({"n_list": [2], "samples": 10}, ("n_list", "samples", "max_iter")),
+    "bankrun-demo": ({}, ("max_iter",)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TASK_READS))
+def test_task_accepts_every_key_it_reads(kind):
+    minimal, reads = TASK_READS[kind]
+    m.validate_config(base_config(task={"kind": kind, **minimal}))
+    m.validate_config(base_config(task={"kind": kind, **{k: TASK_VALUES[k] for k in reads}}))
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, (_, reads) in sorted(TASK_READS.items())
+    for key in TASK_VALUES if key not in reads])
+def test_cli_task_key_the_kind_never_reads_names_path(tmp_path, capsys, monkeypatch,
+                                                       kind, key):
+    """A task key that only other task kinds read exits 2 before any work."""
+    monkeypatch.setattr(m.experiments, "_TASKS", {})
+    task = {"kind": kind, **TASK_READS[kind][0], key: TASK_VALUES[key]}
+    _cli_rejects(tmp_path, capsys, base_config(task=task), "$.task:", f"'{key}'")
+
+
+@pytest.mark.parametrize("payoff", [
+    {"kind": "crowd_discount", "r": 0.3, "c": 0.8},
+    {"kind": "diffusion"},
+    {"kind": "constant", "value": 2.0},
+    {"kind": "crowd_fraction"},
+], ids=lambda p: p["kind"])
+@pytest.mark.parametrize("closed", [True, False])
+def test_cli_closed_interval_off_bankrun_names_path(tmp_path, capsys, monkeypatch,
+                                                    payoff, closed):
+    """Only the bank run reads ``closed_interval``; with any other payoff it
+    exits 2, whatever its value."""
+    monkeypatch.setattr(m.experiments, "_TASKS", {})
+    cfg = base_config(payoff=payoff, closed_interval=closed)
+    _cli_rejects(tmp_path, capsys, cfg, "$.closed_interval:", "bankrun")
+
+
+def test_benchmark_configs_validate():
+    """The seven configs of the benchmark's workloads pass the schema."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
+    loader = importlib.util.spec_from_file_location("bench_spec", path)
+    spec = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spec)
+    configs = [cfg for _, make in spec.WORKLOADS.values() for _, cfg in make(7)]
+    assert len(configs) == 7
+    for cfg in configs:
+        m.validate_config(cfg)
+
+
 def test_config_max_steps_raises_the_lattice_cap():
     cfg = base_config()
     cfg["lattice"].update(steps=15, max_steps=15)
@@ -287,11 +346,11 @@ def test_solve_mfe_unconverged_end_is_verified_and_written_as_csv():
     lat = m.experiments.build_lattice_from(cfg)
     payoff = m.experiments.build_payoff(cfg, lat)
     tree = m.experiments.build_tree(cfg, lat)
-    res = m.solve_mfe(payoff, tree, lat, max_iter=1)
+    res = m.solve_mfe(payoff, tree, max_iter=1)
     assert not res.top.converged
     ends = (("top", res.top), ("bottom", res.bottom))
     for name, end in ends:
-        v = m.verify_mfe(payoff, end.rule, tree, lat)
+        v = m.verify_mfe(payoff, end.rule)
         assert rec.result[f"verify_{name}"] == {"is_mfe": v.is_mfe, "gap": v.gap}
     lines = m.emit(rec, "csv").decode().splitlines()
     assert lines[0] == "direction,iteration,value,stopped_nodes"

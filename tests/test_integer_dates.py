@@ -32,7 +32,7 @@ def test_snell_solve_passes_int_dates(lat, kind):
     tree = {"public": m.public_tree, "full": m.full_tree,
             "signal": lambda lat: m.build_signal_tree(lat, m.SignalModel(1.0))}[kind](lat)
     calls = []
-    m.snell_solve(recording_payoff(lat, calls, w_dependent=True), _law(tree), tree, lat)
+    m.snell_solve(recording_payoff(lat, calls, w_dependent=True), _law(tree), tree)
     assert set(calls) == set(range(lat.steps + 1))
 
 
@@ -40,7 +40,7 @@ def test_suffix_enumeration_passes_int_dates(lat):
     tree = m.full_tree(lat)
     calls = []
     F = recording_payoff(lat, calls, reads_full_path=True, w_dependent=True)
-    m.snell_solve(F, _law(tree), tree, lat)
+    m.snell_solve(F, _law(tree), tree)
     # every node of every layer averages over all 4**(K-k) joint suffixes
     assert len(calls) == sum(4 ** k * 4 ** (lat.steps - k) for k in range(lat.steps + 1))
 
@@ -55,14 +55,14 @@ def test_evaluate_J_passes_int_dates(lat, tree_kind, w_dependent):
     rule = m.random_rule(tree, np.random.default_rng(3))
     calls = []
     m.evaluate_J(recording_payoff(lat, calls, w_dependent=w_dependent),
-                 _law(tree), rule, lat)
+                 _law(tree), rule)
     assert calls
 
 
 def test_brute_force_passes_int_dates(lat):
     tree = m.public_tree(lat)
     calls = []
-    m.brute_force_optimal(recording_payoff(lat, calls), _law(tree), tree, lat)
+    m.brute_force_optimal(recording_payoff(lat, calls), _law(tree), tree)
     assert calls
 
 
@@ -73,13 +73,13 @@ def test_exact_nplayer_passes_int_dates(lat, half_open):
     prof = m.NPlayerProfile(3, rule)
     calls = []
     F = recording_payoff(lat, calls, half_open=half_open)
-    m.equilibrium_value(F, prof, lat, m.Exact())
-    m.best_deviation(F, prof, lat, m.Exact())
+    m.equilibrium_value(F, prof, m.Exact())
+    m.best_deviation(F, prof, m.Exact())
     assert calls
 
 
 def test_monte_carlo_epsilon_passes_int_dates(lat):
     rule = m.random_rule(m.public_tree(lat), np.random.default_rng(7))
     calls = []
-    m.estimate_epsilon(recording_payoff(lat, calls), rule, 3, lat, m.MonteCarlo(20, 1))
+    m.estimate_epsilon(recording_payoff(lat, calls), rule, 3, m.MonteCarlo(20, 1))
     assert calls

@@ -25,7 +25,7 @@ def lat():
 
 def test_constant_payoff_forced_bracket(lat):
     tree = m.public_tree(lat)
-    res = m.solve_mfe(m.constant_payoff(1.0, lat), tree, lat)
+    res = m.solve_mfe(m.constant_payoff(1.0), tree)
     assert res.converged
     assert res.rule_max == m.StoppingRule.stop_at(tree, lat.steps)
     assert res.rule_min == m.StoppingRule.stop_at(tree, 0)
@@ -39,8 +39,8 @@ def test_crowd_independent_payoff_single_improvement(lat):
     # strictly concave spot reward: unique interior stopping behavior
     F = spot_payoff(lat, lambda b, t: -(b - 4.2) ** 2)
     plain = m.snell_solve(
-        F, m.conditional_law(m.StoppingRule.stop_at(tree, lat.steps)), tree, lat)
-    res = m.solve_mfe(F, tree, lat)
+        F, m.conditional_law(m.StoppingRule.stop_at(tree, lat.steps)), tree)
+    res = m.solve_mfe(F, tree)
     assert res.converged
     assert res.rule_max == plain.rule_max
     assert res.rule_min == plain.rule_min
@@ -77,7 +77,7 @@ def test_bankrun_top_iteration_finds_hitting_rule(lat):
     tree = m.public_tree(lat)
     p = m.BankRunParams(rbar=0.05, r=0.0, liquidation=half_liq, d0=1.0)
     F = m.bankrun_payoff(p, lat)
-    top = m.iterate_from_top(F, tree, lat)
+    top = m.iterate_from_top(F, tree)
     assert top.converged and top.monotone
     assert top.rule == m.public_info_equilibrium(p, lat)
     # trace is pointwise nonincreasing from the horizon rule
@@ -94,19 +94,19 @@ def test_bankrun_bottom_iteration_finds_panic_rule(lat):
     tree = m.public_tree(lat)
     p = m.BankRunParams(rbar=0.05, r=0.0, liquidation=half_liq, d0=1.0)
     F = m.bankrun_payoff(p, lat)
-    res = m.solve_mfe(F, tree, lat)
+    res = m.solve_mfe(F, tree)
     assert res.converged
     assert res.rule_min == m.StoppingRule.stop_at(tree, 0)
     assert res.rule_max == m.public_info_equilibrium(p, lat)
     assert not res.tight
-    assert m.verify_mfe(F, res.rule_min, tree, lat).is_mfe
-    assert m.verify_mfe(F, res.rule_max, tree, lat).is_mfe
+    assert m.verify_mfe(F, res.rule_min).is_mfe
+    assert m.verify_mfe(F, res.rule_max).is_mfe
 
 
 def test_verify_mfe_rejects_suboptimal_rule(lat):
     tree = m.public_tree(lat)
     F = spot_payoff(lat, lambda b, t: 1.0 + t)
-    res = m.verify_mfe(F, m.StoppingRule.stop_at(tree, 0), tree, lat)
+    res = m.verify_mfe(F, m.StoppingRule.stop_at(tree, 0))
     assert not res.is_mfe
     assert res.gap == pytest.approx(lat.horizon)
 
@@ -115,8 +115,7 @@ def test_verify_mfe_constant_any_rule(lat):
     tree = m.public_tree(lat)
     rng = np.random.default_rng(21)
     for _ in range(5):
-        res = m.verify_mfe(m.constant_payoff(2.0, lat), m.random_rule(tree, rng),
-                           tree, lat)
+        res = m.verify_mfe(m.constant_payoff(2.0), m.random_rule(tree, rng))
         assert res.is_mfe and abs(res.gap) <= 1e-12
 
 
@@ -125,12 +124,12 @@ def test_bracket_contains_other_equilibria(lat):
     tree = m.public_tree(lat)
     p = m.BankRunParams(rbar=0.05, r=0.0, liquidation=half_liq, d0=1.0)
     F = m.bankrun_payoff(p, lat)
-    res = m.solve_mfe(F, tree, lat)
+    res = m.solve_mfe(F, tree)
     rng = np.random.default_rng(31)
     found = 0
     for _ in range(300):
         rule = m.random_rule(tree, rng, p_stop=float(rng.uniform(0.05, 0.6)))
-        if m.verify_mfe(F, rule, tree, lat).is_mfe:
+        if m.verify_mfe(F, rule).is_mfe:
             found += 1
             assert res.rule_min.pointwise_leq(rule)
             assert rule.pointwise_leq(res.rule_max)
@@ -141,7 +140,7 @@ def test_iteration_bound(lat):
     tree = m.public_tree(lat)
     p = m.BankRunParams(rbar=0.05, r=0.0, liquidation=half_liq, d0=1.0)
     F = m.bankrun_payoff(p, lat)
-    res = m.solve_mfe(F, tree, lat)
+    res = m.solve_mfe(F, tree)
     assert res.top.iterations <= tree.num_nodes + 1
     assert res.bottom.iterations <= tree.num_nodes + 1
 
@@ -150,7 +149,7 @@ def test_max_iter_reported_as_nonconvergence(lat):
     tree = m.public_tree(lat)
     p = m.BankRunParams(rbar=0.05, r=0.0, liquidation=half_liq, d0=1.0)
     F = m.bankrun_payoff(p, lat)
-    top = m.iterate_from_top(F, tree, lat, max_iter=1)
+    top = m.iterate_from_top(F, tree, max_iter=1)
     assert not top.converged and top.iterations == 1
 
 
@@ -160,13 +159,13 @@ def test_anti_complementary_payoff_cycles_from_below():
     # around, which the iteration must report as a cycle, not convergence
     lat = m.build_lattice(3, 0.5, 0.0, 1.0, 1.0)
     tree = m.public_tree(lat)
-    F = m.crowd_fraction_payoff(lat)
-    bottom = m.iterate_from_bottom(F, tree, lat)
+    F = m.crowd_fraction_payoff()
+    bottom = m.iterate_from_bottom(F, tree)
     assert not bottom.converged
     assert bottom.cycle_length is not None and bottom.cycle_length >= 1
     # from above it is a trivial fixed point: with nobody stopped before
     # the horizon the reward is identically zero and all rules tie
-    top = m.iterate_from_top(F, tree, lat)
+    top = m.iterate_from_top(F, tree)
     assert top.converged
     assert top.rule == m.StoppingRule.stop_at(tree, lat.steps)
 
@@ -176,9 +175,9 @@ def test_signal_tree_bankrun_equilibrium():
     sig = m.build_signal_tree(lat, m.SignalModel(1.0))
     p = m.BankRunParams(rbar=0.1, r=0.0, liquidation=half_liq, d0=1.0)
     F = m.bankrun_payoff(p, lat)
-    res = m.solve_mfe(F, sig, lat)
+    res = m.solve_mfe(F, sig)
     assert res.top.converged
-    v = m.verify_mfe(F, res.rule_max, sig, lat)
+    v = m.verify_mfe(F, res.rule_max)
     assert v.is_mfe and v.gap <= 1e-9
     steps = res.rule_max.stop_steps()
     assert steps.shape == (lat.num_paths, lat.num_paths)
@@ -208,9 +207,9 @@ def bankrun_games(draw):
 @given(bankrun_games())
 def test_verification_gap_nonnegative_at_both_bracket_ends(game):
     F, tree, lat = game
-    res = m.solve_mfe(F, tree, lat)
+    res = m.solve_mfe(F, tree)
     for end in (res.top, res.bottom):
-        verified = m.verify_mfe(F, end.rule, tree, lat)
+        verified = m.verify_mfe(F, end.rule)
         assert verified.gap >= -VERIFY_TOL
         if end.converged:
             assert end.verification == verified
@@ -223,8 +222,8 @@ def test_nplayer_tasks_rule_is_the_bracket_top(game, max_iter):
     """eps-nash and converge run only the descending iteration; its rule is
     the bracket's rule_max."""
     F, tree, lat = game
-    rule = _mfe_rule_for({"task": {"max_iter": max_iter}}, lat, F, tree)
-    assert rule == m.solve_mfe(F, tree, lat, max_iter).rule_max
+    rule = _mfe_rule_for({"task": {"max_iter": max_iter}}, F, tree)
+    assert rule == m.solve_mfe(F, tree, max_iter=max_iter).rule_max
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, None])
@@ -234,7 +233,7 @@ def test_nplayer_tasks_rule_honours_max_iter(max_iter):
     lat = m.build_lattice(4, 0.5, 3.0, 1.0, 1.0)
     tree = m.build_signal_tree(lat, m.SignalModel(1.0))
     F = m.bankrun_payoff(m.BankRunParams(rbar=0.1, r=0.0, liquidation=half_liq, d0=1.0), lat)
-    res = m.solve_mfe(F, tree, lat, max_iter)
+    res = m.solve_mfe(F, tree, max_iter=max_iter)
     assert res.top.iterations == (3 if max_iter is None else max_iter)
-    assert _mfe_rule_for({"task": {"max_iter": max_iter}}, lat, F, tree) == res.rule_max
-    assert (res.rule_max == m.solve_mfe(F, tree, lat).rule_max) == (max_iter != 1)
+    assert _mfe_rule_for({"task": {"max_iter": max_iter}}, F, tree) == res.rule_max
+    assert (res.rule_max == m.solve_mfe(F, tree).rule_max) == (max_iter != 1)

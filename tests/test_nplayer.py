@@ -47,15 +47,15 @@ def bankrun(lat):
 
 
 def test_constant_payoff_value_every_method(lat):
-    F = m.constant_payoff(2.0, lat)
+    F = m.constant_payoff(2.0)
     tree = m.full_tree(lat)
     rng = np.random.default_rng(0)
     rule = m.random_rule(tree, rng)
     for n in (1, 3, 8):
         prof = m.NPlayerProfile(n, rule)
-        assert m.equilibrium_value(F, prof, lat, m.Exact()) == pytest.approx(2.0)
-        assert m.equilibrium_value(F, prof, lat, m.MonteCarlo(50, 4)) == pytest.approx(2.0)
-        dev, _ = m.best_deviation(F, prof, lat, m.Exact())
+        assert m.equilibrium_value(F, prof, m.Exact()) == pytest.approx(2.0)
+        assert m.equilibrium_value(F, prof, m.MonteCarlo(50, 4)) == pytest.approx(2.0)
+        dev, _ = m.best_deviation(F, prof, m.Exact())
         assert dev == pytest.approx(2.0)
 
 
@@ -66,11 +66,11 @@ def test_crowd_independent_equals_single_agent(lat):
     rng = np.random.default_rng(1)
     rule = m.random_rule(tree, rng)
     mu = m.conditional_law(rule)
-    plain = m.evaluate_J(spot, mu, rule, lat)
+    plain = m.evaluate_J(spot, mu, rule)
     prof = m.NPlayerProfile(5, rule)
-    assert m.equilibrium_value(spot, prof, lat, m.Exact()) == pytest.approx(plain, abs=1e-12)
-    dev, _ = m.best_deviation(spot, prof, lat, m.Exact())
-    assert dev == pytest.approx(m.snell_solve(spot, mu, tree, lat).value, abs=1e-12)
+    assert m.equilibrium_value(spot, prof, m.Exact()) == pytest.approx(plain, abs=1e-12)
+    dev, _ = m.best_deviation(spot, prof, m.Exact())
+    assert dev == pytest.approx(m.snell_solve(spot, mu, tree).value, abs=1e-12)
 
 
 def test_two_player_bankrun_matches_exhaustion(lat, bankrun):
@@ -79,7 +79,7 @@ def test_two_player_bankrun_matches_exhaustion(lat, bankrun):
     for _ in range(5):
         rule = m.random_rule(tree, rng)
         prof = m.NPlayerProfile(2, rule)
-        got = m.equilibrium_value(bankrun, prof, lat, m.Exact())
+        got = m.equilibrium_value(bankrun, prof, m.Exact())
         want = enumerate_two_player_value(bankrun, lat, rule.stop_steps())
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -89,7 +89,7 @@ def test_two_player_best_deviation_matches_brute_force(lat, bankrun):
     rng = np.random.default_rng(8)
     rule = m.random_rule(tree, rng)
     prof = m.NPlayerProfile(2, rule)
-    got, got_rule = m.best_deviation(bankrun, prof, lat, m.Exact())
+    got, got_rule = m.best_deviation(bankrun, prof, m.Exact())
     # brute force: every deviator rule on the tree, each value by exhaustion
     best = -math.inf
     for dev_rule in m.enumerate_rules(tree):
@@ -108,10 +108,10 @@ def test_two_player_general_payoff_matches_exhaustion(lat):
     rng = np.random.default_rng(9)
     rule = m.random_rule(tree, rng)
     prof = m.NPlayerProfile(2, rule)
-    got = m.equilibrium_value(G, prof, lat, m.Exact())
+    got = m.equilibrium_value(G, prof, m.Exact())
     want = enumerate_two_player_value(G, lat, rule.stop_steps())
     assert got == pytest.approx(want, abs=1e-12)
-    got_dev, _ = m.best_deviation(G, prof, lat, m.Exact())
+    got_dev, _ = m.best_deviation(G, prof, m.Exact())
     best = max(enumerate_two_player_value(G, lat, rule.stop_steps(), r.stop_steps())
                for r in m.enumerate_rules(tree))
     assert got_dev == pytest.approx(best, abs=1e-9)
@@ -121,9 +121,9 @@ def test_epsilon_nonnegative_and_zero_for_crowd_independent(lat):
     spot = m.PayoffSpec(lambda b, w, mm, k: float(b[k]) ** 2,
                         w_dependent=False, reads_full_path=False, half_open=True)
     tree = m.public_tree(lat)
-    res = m.solve_mfe(spot, tree, lat)
+    res = m.solve_mfe(spot, tree)
     for n in (1, 2, 7, 40):
-        rep = m.estimate_epsilon(spot, res.rule_max, n, lat, m.Exact())
+        rep = m.estimate_epsilon(spot, res.rule_max, n, m.Exact())
         assert rep.epsilon <= 1e-12
         assert rep.stderr is None and rep.method == "exact"
 
@@ -133,7 +133,7 @@ def test_exact_intractable_error(lat):
     rule = m.StoppingRule.stop_at(m.public_tree(lat), 1)
     prof = m.NPlayerProfile(9, rule)
     with pytest.raises(ValueError, match="exact intractable"):
-        m.equilibrium_value(G, prof, lat, m.Exact())
+        m.equilibrium_value(G, prof, m.Exact())
 
 
 def test_monte_carlo_agrees_with_exact_general_payoff():
@@ -142,8 +142,8 @@ def test_monte_carlo_agrees_with_exact_general_payoff():
     tree = m.full_tree(lat)
     rng = np.random.default_rng(3)
     rule = m.random_rule(tree, rng)
-    ex = m.estimate_epsilon(G, rule, 4, lat, m.Exact())
-    mc = m.estimate_epsilon(G, rule, 4, lat, m.MonteCarlo(samples=2500, seed=11))
+    ex = m.estimate_epsilon(G, rule, 4, m.Exact())
+    mc = m.estimate_epsilon(G, rule, 4, m.MonteCarlo(samples=2500, seed=11))
     assert mc.stderr is not None and mc.stderr > 0
     assert abs(ex.eq_value - mc.eq_value) <= 4 * mc.stderr
     # the planned rule is evaluated without planning bias, so the MC
@@ -160,19 +160,19 @@ def test_monte_carlo_plan_equals_exact_best_deviation(info):
     tree = m.public_tree(lat) if info == "public" \
         else m.build_signal_tree(lat, m.SignalModel(1.0))
     F = m.bankrun_payoff(m.BankRunParams(rbar=0.1, r=0.0, liquidation=half_liq), lat)
-    rule = m.solve_mfe(F, tree, lat).rule_max
+    rule = m.solve_mfe(F, tree).rule_max
     for n in (2, 4, 16):
         prof = m.NPlayerProfile(n, rule)
-        _, exact_rule = m.best_deviation(F, prof, lat, m.Exact())
-        _, planned = m.best_deviation(F, prof, lat, m.MonteCarlo(2000, seed=7))
+        _, exact_rule = m.best_deviation(F, prof, m.Exact())
+        _, planned = m.best_deviation(F, prof, m.MonteCarlo(2000, seed=7))
         assert planned == exact_rule
 
 
 def test_monte_carlo_deterministic_in_seed(lat, bankrun):
     rule = m.StoppingRule.stop_at(m.public_tree(lat), 1)
-    a = m.estimate_epsilon(bankrun, rule, 6, lat, m.MonteCarlo(400, seed=5))
-    b = m.estimate_epsilon(bankrun, rule, 6, lat, m.MonteCarlo(400, seed=5))
-    c = m.estimate_epsilon(bankrun, rule, 6, lat, m.MonteCarlo(400, seed=6))
+    a = m.estimate_epsilon(bankrun, rule, 6, m.MonteCarlo(400, seed=5))
+    b = m.estimate_epsilon(bankrun, rule, 6, m.MonteCarlo(400, seed=5))
+    c = m.estimate_epsilon(bankrun, rule, 6, m.MonteCarlo(400, seed=6))
     assert a == b
     assert a != c
 
@@ -183,8 +183,8 @@ def test_exchangeability_of_the_deviator_index(lat, bankrun):
     # a profile built from the same rule object to spot-check stability
     tree = m.full_tree(lat)
     rule = m.random_rule(tree, np.random.default_rng(12))
-    v1 = m.equilibrium_value(bankrun, m.NPlayerProfile(3, rule), lat, m.Exact())
-    v2 = m.equilibrium_value(bankrun, m.NPlayerProfile(3, rule), lat, m.Exact())
+    v1 = m.equilibrium_value(bankrun, m.NPlayerProfile(3, rule), m.Exact())
+    v2 = m.equilibrium_value(bankrun, m.NPlayerProfile(3, rule), m.Exact())
     assert v1 == v2
 
 
@@ -196,14 +196,14 @@ def test_large_n_best_deviation_approaches_mean_field():
     rng = np.random.default_rng(9)
     rule = m.random_rule(tree, rng)
     law = m.conditional_law(rule)
-    dev, _ = m.best_deviation(F, m.NPlayerProfile(10 ** 6, rule), lat, m.Exact())
-    mean_field = m.snell_solve(F, law, tree, lat).value
+    dev, _ = m.best_deviation(F, m.NPlayerProfile(10 ** 6, rule), m.Exact())
+    mean_field = m.snell_solve(F, law, tree).value
     assert abs(dev - mean_field) <= 1e-3
 
 
 def test_convergence_experiment_deterministic_rule_zero_distance(lat):
     rule = m.StoppingRule.stop_at(m.public_tree(lat), 1)
-    rows = m.convergence_experiment(rule, [1, 4, 16], 50, 99, lat)
+    rows = m.convergence_experiment(rule, [1, 4, 16], 50, 99)
     assert all(r["mean_kolmogorov_distance"] == 0.0 for r in rows)
 
 
@@ -216,7 +216,7 @@ def test_convergence_experiment_single_player_positive():
     for j in reversed(range(lat.steps)):
         times = np.where(wbits[j] == 1, j + 1, times)
     rule = m.StoppingRule.from_times(tree, times[None, :])
-    rows = m.convergence_experiment(rule, [1], 400, 5, lat)
+    rows = m.convergence_experiment(rule, [1], 400, 5)
     # with one player the empirical law is a point mass; the law has cdf
     # (1/2, 3/4, 1), so the distance is 1/2 w.p. 3/4 and 3/4 w.p. 1/4,
     # with mean 9/16
@@ -229,8 +229,8 @@ def test_convergence_experiment_distances_shrink():
     sig = m.build_signal_tree(lat, m.SignalModel(1.0))
     p = m.BankRunParams(rbar=0.1, r=0.0, liquidation=half_liq, d0=1.0)
     F = m.bankrun_payoff(p, lat)
-    res = m.solve_mfe(F, sig, lat)
-    rows = m.convergence_experiment(res.rule_max, [2, 4, 8, 16, 32, 64], 400, 17, lat)
+    res = m.solve_mfe(F, sig)
+    rows = m.convergence_experiment(res.rule_max, [2, 4, 8, 16, 32, 64], 400, 17)
     dists = [r["mean_kolmogorov_distance"] for r in rows]
     drops = sum(1 for i in range(len(dists) - 1) if dists[i + 1] <= dists[i])
     assert drops >= 4  # law-of-large-numbers trend, fixed seed
@@ -263,7 +263,7 @@ def test_convergence_experiment_equals_one_sample_at_a_time(kind):
     for _ in range(3):
         rule = m.random_rule(tree, rng, p_stop=0.4)
         want = _convergence_one_sample_at_a_time(rule, n_list, 60, 8, lat)
-        assert m.convergence_experiment(rule, n_list, 60, 8, lat) == want
+        assert m.convergence_experiment(rule, n_list, 60, 8) == want
 
 
 def _scipy_stats_binomial_weights(mm, q):

@@ -88,9 +88,9 @@ def make_payoff(kind, lat, params):
     if kind == "bankrun-closed":
         return m.bankrun_payoff(bankrun, lat, closed_interval=True)
     if kind == "crowd_fraction":
-        return m.crowd_fraction_payoff(lat)
+        return m.crowd_fraction_payoff()
     if kind == "constant":
-        return m.constant_payoff(d0, lat)
+        return m.constant_payoff(d0)
     if kind == "spot_times_noise":
         return spot_times_noise(lat)
     return m.crowd_discount_payoff(m.CrowdDiscountParams(r=rbar, c=d0), lat)
@@ -145,7 +145,7 @@ def test_kernel_equals_scalar_adapter(case):
     slow = stop_reward_layers(scalar, mu, tree)
     assert all(np.array_equal(f, s) for f, s in zip(fast, slow))
     lat = tree.lat
-    assert m.evaluate_J(payoff, mu, rule, lat) == m.evaluate_J(scalar, mu, rule, lat)
+    assert m.evaluate_J(payoff, mu, rule) == m.evaluate_J(scalar, mu, rule)
 
 
 def test_field_payoff_without_inner_kernel_uses_the_adapter():

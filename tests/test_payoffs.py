@@ -66,7 +66,7 @@ def test_bankrun_monotone_in_crowd(lat):
     rng = np.random.default_rng(2)
     tree = m.full_tree(lat)
     for _ in range(10):
-        early, late = m.sample_ordered_measures(lat, rng, tree)
+        early, late = m.sample_ordered_measures(tree, rng)
         for b in range(lat.num_paths):
             me, ml = m.GridMeasure.from_cdf(early.cdf[b]), m.GridMeasure.from_cdf(late.cdf[b])
             for k in range(lat.steps + 1):
@@ -192,8 +192,8 @@ def _reads_everything(lat):
     (lambda lat: m.diffusion_payoff(m.DiffusionPayoffParams(
         f=lambda x, y, t: y, phi=lambda u: 0.0), lat),
      (False, False, False, False)),
-    (lambda lat: m.constant_payoff(2.0, lat), (False, False, True, True)),
-    (m.crowd_fraction_payoff, (False, False, True, True)),
+    (lambda lat: m.constant_payoff(2.0), (False, False, True, True)),
+    (lambda lat: m.crowd_fraction_payoff(), (False, False, True, True)),
     (_reads_everything, (True, True, False, False)),
     # a field is past-only when its crowd is half-open (binomial, keyed by the
     # past), else its crowd is keyed by the whole common path
@@ -235,7 +235,7 @@ def test_evaluate_J_constant(lat):
     rng = np.random.default_rng(1)
     for _ in range(5):
         rule = m.random_rule(tree, rng)
-        assert m.evaluate_J(m.constant_payoff(2.25, lat), mu, rule, lat) == 2.25
+        assert m.evaluate_J(m.constant_payoff(2.25), mu, rule) == 2.25
 
 
 def test_evaluate_J_martingale_spot(lat):
@@ -246,7 +246,7 @@ def test_evaluate_J_martingale_spot(lat):
     for tree in (m.public_tree(lat), m.full_tree(lat)):
         for _ in range(5):
             rule = m.random_rule(tree, rng)
-            assert m.evaluate_J(spot, mu, rule, lat) == pytest.approx(lat.b0)
+            assert m.evaluate_J(spot, mu, rule) == pytest.approx(lat.b0)
 
 
 def test_evaluate_J_single_term_bankrun(lat):
@@ -255,7 +255,7 @@ def test_evaluate_J_single_term_bankrun(lat):
     tree = m.public_tree(lat)
     rule = m.StoppingRule.stop_at(tree, 0)
     mu = m.conditional_law(rule)
-    assert m.evaluate_J(F, mu, rule, lat) == min(1.0, half_liq(lat.b0))
+    assert m.evaluate_J(F, mu, rule) == min(1.0, half_liq(lat.b0))
 
 
 def test_evaluate_J_affine_in_rule_mixture():
@@ -277,9 +277,9 @@ def test_evaluate_J_affine_in_rule_mixture():
         wbit = (lat.path_ids & 1)[None, :]
         mixed = m.StoppingRule.from_times(
             ft, np.where(wbit == 1, t1[:, None], t2[:, None]))
-        jm = m.evaluate_J(spot, mu, mixed, lat)
-        j1 = m.evaluate_J(spot, mu, r1, lat)
-        j2 = m.evaluate_J(spot, mu, r2, lat)
+        jm = m.evaluate_J(spot, mu, mixed)
+        j1 = m.evaluate_J(spot, mu, r1)
+        j2 = m.evaluate_J(spot, mu, r2)
         assert jm == pytest.approx(0.5 * (j1 + j2), abs=1e-12)
 
 
@@ -289,14 +289,14 @@ def test_evaluate_J_affine_in_rule_mixture():
 
 
 def test_check_id_constant_passes(lat):
-    rep = m.check_increasing_differences(m.constant_payoff(3.0, lat), lat,
+    rep = m.check_increasing_differences(m.constant_payoff(3.0), m.full_tree(lat),
                                          trials=50, seed=77)
     assert rep.passed and rep.violation is None
 
 
 def test_check_id_crowd_fraction_fails_exhaustively():
     lat = m.build_lattice(2, 0.5, 0.0, 1.0, 1.0)
-    rep = m.exhaustive_increasing_differences(m.crowd_fraction_payoff(lat), lat,
+    rep = m.exhaustive_increasing_differences(m.crowd_fraction_payoff(),
                                               m.public_tree(lat))
     assert not rep.passed
     v = rep.violation
@@ -307,10 +307,10 @@ def test_check_id_crowd_fraction_fails_exhaustively():
 
 @pytest.mark.parametrize("steps", [2, 3, 4, 5])
 def test_check_id_sampled_crowd_fraction_violation_is_ordered(steps):
-    """The sampled checker on the default (full) tree finds crowd_fraction's
+    """The sampled checker on the full tree finds crowd_fraction's
     violation and returns an ordered quadruple with the gain order broken."""
     lat = m.build_lattice(steps, 0.5, 3.0, 1.0, 1.0)
-    rep = m.check_increasing_differences(m.crowd_fraction_payoff(lat), lat,
+    rep = m.check_increasing_differences(m.crowd_fraction_payoff(), m.full_tree(lat),
                                          trials=100, seed=4242)
     assert not rep.passed and rep.trials <= 100
     v = rep.violation
@@ -324,7 +324,7 @@ def test_check_id_sampled_crowd_fraction_violation_is_ordered(steps):
     "returns two equal measures, so the sampled checker misses the violation"))
 def test_check_id_sampled_crowd_fraction_violation_public_k8():
     lat = m.build_lattice(8, 0.5, 3.0, 1.0, 1.0)
-    rep = m.check_increasing_differences(m.crowd_fraction_payoff(lat), lat,
+    rep = m.check_increasing_differences(m.crowd_fraction_payoff(), m.public_tree(lat),
                                          trials=100, seed=4242)
     assert not rep.passed
 
@@ -335,15 +335,16 @@ def test_check_id_pointwise_nondecreasing_difference_passes():
     lat = m.build_lattice(3, 0.5, 0.0, 1.0, 1.0)
     F = m.diffusion_payoff(m.DiffusionPayoffParams(
         f=lambda x, y, t: y, phi=lambda u: min(u, 0.0)), lat)
-    rep = m.check_increasing_differences(F, lat, trials=120, seed=13)
+    rep = m.check_increasing_differences(F, m.full_tree(lat), trials=120, seed=13)
     assert rep.passed
 
 
 def test_sampled_measures_are_ordered_and_adapted():
     lat = m.build_lattice(4, 0.5, 0.0, 1.0, 1.0)
     rng = np.random.default_rng(6)
+    tree = m.full_tree(lat)
     for _ in range(20):
-        early, late = m.sample_ordered_measures(lat, rng)
+        early, late = m.sample_ordered_measures(tree, rng)
         assert m.stochastic_leq(early, late)
 
 
@@ -356,7 +357,7 @@ def test_submartingale_equal_measures_zero_gap(lat):
     p = m.BankRunParams(rbar=0.1, r=0.0, liquidation=half_liq, d0=1.0)
     F = m.bankrun_payoff(p, lat)
     mu = m.conditional_law(m.StoppingRule.stop_at(m.public_tree(lat), 2))
-    rep = m.check_submartingale(F, mu, mu, lat)
+    rep = m.check_submartingale(F, mu, mu)
     assert rep.passed and rep.worst_gap == 0.0
 
 
@@ -364,9 +365,9 @@ def test_submartingale_requires_order(lat):
     tree = m.public_tree(lat)
     early = m.conditional_law(m.StoppingRule.stop_at(tree, 0))
     late = m.conditional_law(m.StoppingRule.stop_at(tree, 3))
-    F = m.constant_payoff(1.0, lat)
+    F = m.constant_payoff(1.0)
     with pytest.raises(ValueError, match="not stochastically ordered"):
-        m.check_submartingale(F, late, early, lat)
+        m.check_submartingale(F, late, early)
 
 
 def test_submartingale_crowd_fraction_fails_at_explicit_node():
@@ -374,7 +375,7 @@ def test_submartingale_crowd_fraction_fails_at_explicit_node():
     tree = m.public_tree(lat)
     early = m.conditional_law(m.StoppingRule.stop_at(tree, 1))
     late = m.conditional_law(m.StoppingRule.stop_at(tree, 2))
-    rep = m.check_submartingale(m.crowd_fraction_payoff(lat), early, late, lat)
+    rep = m.check_submartingale(m.crowd_fraction_payoff(), early, late)
     assert not rep.passed
     assert rep.node is not None and rep.worst_gap < -1e-9
 
@@ -394,11 +395,12 @@ def test_submartingale_kernel_orientation():
         "concave_ramp": (lambda u: u - u * u / (4 * horizon), True),
     }
     rng = np.random.default_rng(42)
-    pairs = [m.sample_ordered_measures(lat, rng) for _ in range(12)]
+    tree = m.full_tree(lat)
+    pairs = [m.sample_ordered_measures(tree, rng) for _ in range(12)]
     for name, (phi, should_pass) in kernels.items():
         F = m.diffusion_payoff(
             m.DiffusionPayoffParams(f=lambda x, y, t: y, phi=phi), lat)
-        verdicts = [m.check_submartingale(F, early, late, lat).passed
+        verdicts = [m.check_submartingale(F, early, late).passed
                     for early, late in pairs]
         assert all(verdicts) == should_pass, name
 
@@ -412,12 +414,12 @@ def test_submartingale_agrees_with_increasing_differences():
         f=lambda x, y, t: y, phi=lambda u: min(u, 0.0)), lat)
     rng = np.random.default_rng(8)
     for _ in range(10):
-        early, late = m.sample_ordered_measures(lat, rng, tree)
-        assert m.check_submartingale(F, early, late, lat).passed
+        early, late = m.sample_ordered_measures(tree, rng)
+        assert m.check_submartingale(F, early, late).passed
         for _ in range(5):
             tau, tau_tilde = m.sample_ordered_rules(tree, rng)
-            lhs = (m.evaluate_J(F, late, tau_tilde, lat)
-                   - m.evaluate_J(F, late, tau, lat))
-            rhs = (m.evaluate_J(F, early, tau_tilde, lat)
-                   - m.evaluate_J(F, early, tau, lat))
+            lhs = (m.evaluate_J(F, late, tau_tilde)
+                   - m.evaluate_J(F, late, tau))
+            rhs = (m.evaluate_J(F, early, tau_tilde)
+                   - m.evaluate_J(F, early, tau))
             assert lhs >= rhs - 1e-9
