@@ -42,14 +42,42 @@ _PHI_PRESETS = ("zero", "relu", "affine", "neg_part", "concave_ramp")
 _F_PRESETS = ("identity_y", "common_plus_y")
 _COUNT = {"type": "integer", "minimum": 1}
 _N_LIST = {"type": "array", "minItems": 1, "items": _COUNT}
+# sample indices key the Monte Carlo streams as one uint32 word each
+_SAMPLES = {"type": "integer", "minimum": 1, "maximum": 2 ** 32}
 
 
-def _kind_branch(kind: str, required: tuple = (), **fields) -> dict:
+def _kind_branch(kind: str, required: tuple = (), when: dict | None = None,
+                 **fields) -> dict:
     """Schema branch of one payoff or task kind: its required keys, and no
-    key besides ``kind`` and its own fields."""
+    key besides ``kind`` and its own fields.  ``when`` (``_if_set``) is a
+    condition on one of its keys, for keys read only under it."""
     return {"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
             "then": {"required": list(required), "additionalProperties": False,
-                     "properties": {"kind": {}, **fields}}}
+                     "properties": {"kind": {}, **fields}, **(when or {})}}
+
+
+def _unread(why: str) -> dict:
+    """A key refused where it is not read, named by its own path (a
+    ``False`` schema would name its parent); ``why`` is the message."""
+    return {"not": {}, "description": why}
+
+
+def _if_set(key: str, value, then: dict, otherwise: dict) -> dict:
+    """``then`` where ``key`` is present and equal to ``value``, else
+    ``otherwise``."""
+    return {"if": {"required": [key], "properties": {key: {"const": value}}},
+            "then": then, "else": otherwise}
+
+
+# keys read only under a condition: an exhaustive check enumerates every rule
+# pair, and only Monte Carlo draws samples
+_TRIALS_UNLESS_EXHAUSTIVE = _if_set(
+    "exhaustive", True,
+    {"properties": {"trials": _unread("an exhaustive check does not read it")}},
+    {"required": ["trials"]})
+_SAMPLES_IF_MONTE_CARLO = _if_set(
+    "method", "monte-carlo", {},
+    {"properties": {"samples": _unread("only method monte-carlo reads it")}})
 
 
 CONFIG_SCHEMA: dict = {
@@ -114,14 +142,14 @@ CONFIG_SCHEMA: dict = {
             },
             "allOf": [
                 _kind_branch("solve-mfe", max_iter=_COUNT),
-                _kind_branch("check", ("trials",), trials=_COUNT,
+                _kind_branch("check", when=_TRIALS_UNLESS_EXHAUSTIVE, trials=_COUNT,
                              exhaustive={"type": "boolean"},
                              submartingale_pairs={"type": "integer", "minimum": 0}),
-                _kind_branch("eps-nash", ("n_list",), n_list=_N_LIST,
-                             method={"enum": ["exact", "monte-carlo"]},
-                             samples=_COUNT, max_iter=_COUNT),
+                _kind_branch("eps-nash", ("n_list",), when=_SAMPLES_IF_MONTE_CARLO,
+                             n_list=_N_LIST, method={"enum": ["exact", "monte-carlo"]},
+                             samples=_SAMPLES, max_iter=_COUNT),
                 _kind_branch("converge", ("n_list", "samples"), n_list=_N_LIST,
-                             samples=_COUNT, max_iter=_COUNT),
+                             samples=_SAMPLES, max_iter=_COUNT),
                 _kind_branch("bankrun-demo", max_iter=_COUNT),
             ],
         },
@@ -148,7 +176,8 @@ _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 def validate_config(config: dict) -> None:
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
     if error is not None:
-        raise ConfigError(f"{error.json_path}: {error.message}") from error
+        why = error.schema.get("description") if isinstance(error.schema, dict) else None
+        raise ConfigError(f"{error.json_path}: {why or error.message}") from error
     steps, cap = config["lattice"]["steps"], config["lattice"].get("max_steps", HARD_STEP_CAP)
     if steps > cap:
         raise ConfigError(f"$.lattice.steps: {steps} exceeds the cap {cap} (4**{steps} "

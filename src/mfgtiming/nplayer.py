@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from ._rng import (STREAM_CONVERGE, STREAM_DEV_EVAL, STREAM_DEV_PLAN,
-                   STREAM_EQ_VALUE, derive_rng)
+                   STREAM_EQ_VALUE, derive_rng, sample_paths)
 from ._expect import layer_values
 from .lattice import AdaptedMeasure, LatticeModel
 from .payoffs import PayoffSpec, evaluate_J
@@ -234,6 +234,17 @@ def _field_payoff(payoff: PayoffSpec, n: int, lat: LatticeModel, crowd) -> Payof
 # ---------------------------------------------------------------------------
 
 
+def _sample_blocks(seed: int, stream: int, n: int, samples: int, npaths: int):
+    """Each sample's common path and n players' paths, from its own stream
+    keyed ``(n, sample)``, drawn a block of samples at a time: ``(start,
+    bs, wids)`` with at most ``CONVERGE_BLOCK_DRAWS`` player draws each,
+    so memory does not grow with ``samples``."""
+    block = max(1, CONVERGE_BLOCK_DRAWS // n)
+    for start in range(0, samples, block):
+        count = min(block, samples - start)
+        yield (start, *sample_paths(seed, stream, n, start, count, npaths))
+
+
 def _mc_profile_value(payoff: PayoffSpec, prof: NPlayerProfile, mc: MonteCarlo,
                       stream: int, deviator_rule: Optional[StoppingRule] = None
                       ) -> tuple[float, float]:
@@ -245,19 +256,16 @@ def _mc_profile_value(payoff: PayoffSpec, prof: NPlayerProfile, mc: MonteCarlo,
     steps = prof.rule.stop_steps()
     dev_steps = deviator_rule.stop_steps() if deviator_rule is not None else steps
     lat = prof.rule.tree.lat
-    npaths = lat.num_paths
-    shape = (npaths, lat.steps + 1)
+    shape = (lat.num_paths, lat.steps + 1)
     values = layer_values(payoff, lat)
     vals = np.empty(mc.samples)
-    for s in range(mc.samples):
-        rng = derive_rng(mc.seed, stream, prof.n, s)
-        b = int(rng.integers(npaths))
-        wids = rng.integers(npaths, size=prof.n)
-        own = int(dev_steps[b, wids[0] & (dev_steps.shape[1] - 1)])
-        counts = np.bincount(steps[b, wids[1:] & (steps.shape[1] - 1)],
-                             minlength=lat.steps + 1)
-        cdf = np.broadcast_to(_crowd_cdfs(counts, own, prof.n), shape)
-        vals[s] = values(own, np.array([b]), wids[:1], cdf)[0]
+    for start, bs, wids in _sample_blocks(mc.seed, stream, prof.n, mc.samples, lat.num_paths):
+        for s, (b, row) in enumerate(zip(bs.tolist(), wids), start):
+            own = int(dev_steps[b, row[0] & (dev_steps.shape[1] - 1)])
+            counts = np.bincount(steps[b, row[1:] & (steps.shape[1] - 1)],
+                                 minlength=lat.steps + 1)
+            cdf = np.broadcast_to(_crowd_cdfs(counts, own, prof.n), shape)
+            vals[s] = values(own, np.array([b]), row[:1], cdf)[0]
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(mc.samples)) if mc.samples > 1 else 0.0
     return mean, se
@@ -331,10 +339,8 @@ def convergence_experiment(mfe_rule: StoppingRule, n_list: list[int],
     For each n, draw the common path and n idiosyncratic paths, form the
     empirical measure of the induced dates, and compare its CDF to the
     rule's conditional law on that common path.  Each sample keeps its
-    own stream; the distances are computed for a block of samples at
-    once and added in sample order.  A block holds at most
-    ``CONVERGE_BLOCK_DRAWS`` player draws, so memory does not grow with
-    ``samples``.
+    own stream; the draws and distances are computed for a block of
+    samples at once (``_sample_blocks``) and added in sample order.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -345,15 +351,8 @@ def convergence_experiment(mfe_rule: StoppingRule, n_list: list[int],
     rows = []
     for n in n_list:
         total = 0.0
-        block = max(1, CONVERGE_BLOCK_DRAWS // n)
-        for start in range(0, samples, block):
-            count = min(block, samples - start)
-            bs = np.empty(count, dtype=np.int64)
-            wids = np.empty((count, n), dtype=np.int64)
-            for i in range(count):
-                rng = derive_rng(seed, STREAM_CONVERGE, n, start + i)
-                bs[i] = rng.integers(npaths)
-                wids[i] = rng.integers(npaths, size=n)
+        for _, bs, wids in _sample_blocks(seed, STREAM_CONVERGE, n, samples, npaths):
+            count = len(bs)
             flat = (steps[bs[:, None], wids & (steps.shape[1] - 1)]
                     + kk * np.arange(count)[:, None])
             counts = np.bincount(flat.ravel(), minlength=count * kk).reshape(count, kk)

@@ -74,7 +74,7 @@ def test_solve_mfe_task_payload():
 def test_check_task_identity_violation():
     cfg = base_config(payoff={"kind": "crowd_fraction"},
                       lattice={"steps": 2, "dt": 0.5, "b0": 0.0, "db": 1.0, "dw": 1.0},
-                      task={"kind": "check", "trials": 1, "exhaustive": True})
+                      task={"kind": "check", "exhaustive": True})
     rec = m.run(cfg)
     rep = rec.result["increasing_differences"]
     assert rep["passed"] is False
@@ -258,7 +258,7 @@ def test_cli_exact_eps_nash_past_general_cap_fails_before_solving(
     ({"payoff": {"kind": "crowd_discount", "r": 0.3, "c": -1.0}}, ("$.payoff.c:",)),
     ({"payoff": {"kind": "diffusion", "f_bound": 10.0}}, ("$.payoff:", "'f_bound'")),
     ({"lattice": {"steps": 6, "dt": 0.5, "b0": 3.0, "db": 1.0, "dw": 1.0},
-      "task": {"kind": "check", "trials": 1, "exhaustive": True}},
+      "task": {"kind": "check", "exhaustive": True}},
      ("$.task.exhaustive:", "210066388901 rules")),
 ], ids=["steps-past-cap", "rbar-not-above-r", "d0-zero", "crowd_discount-r",
         "crowd_discount-c", "diffusion-f_bound", "exhaustive-public-k6"])
@@ -276,7 +276,7 @@ def test_cli_invalid_values_exit_2_before_solving(tmp_path, capsys, monkeypatch,
 
 # the task keys each kind reads, and a minimal valid task of that kind
 TASK_VALUES = {"max_iter": 3, "trials": 5, "exhaustive": False, "submartingale_pairs": 1,
-               "n_list": [2], "method": "exact", "samples": 10}
+               "n_list": [2], "method": "monte-carlo", "samples": 10}
 TASK_READS = {
     "solve-mfe": ({}, ("max_iter",)),
     "check": ({"trials": 5}, ("trials", "exhaustive", "submartingale_pairs")),
@@ -302,6 +302,31 @@ def test_cli_task_key_the_kind_never_reads_names_path(tmp_path, capsys, monkeypa
     monkeypatch.setattr(m.experiments, "_TASKS", {})
     task = {"kind": kind, **TASK_READS[kind][0], key: TASK_VALUES[key]}
     _cli_rejects(tmp_path, capsys, base_config(task=task), "$.task:", f"'{key}'")
+
+
+@pytest.mark.parametrize("task, path, why", [
+    ({"kind": "eps-nash", "n_list": [2], "samples": 10}, "samples", "monte-carlo"),
+    ({"kind": "eps-nash", "n_list": [2], "method": "exact", "samples": 10}, "samples",
+     "monte-carlo"),
+    ({"kind": "check", "exhaustive": True, "trials": 5}, "trials", "exhaustive"),
+    ({"kind": "eps-nash", "n_list": [2], "method": "monte-carlo", "samples": 2 ** 32 + 1},
+     "samples", "maximum"),
+    ({"kind": "converge", "n_list": [2], "samples": 2 ** 32 + 1}, "samples", "maximum"),
+], ids=["eps-nash-default-method", "eps-nash-exact", "check-exhaustive",
+        "eps-nash-past-2**32", "converge-past-2**32"])
+def test_cli_task_key_not_read_under_its_condition_names_path(tmp_path, capsys, monkeypatch,
+                                                              task, path, why):
+    """Samples only under Monte Carlo, trials only when sampling rule pairs,
+    and no sample index past one uint32 stream key: else exit 2 before any
+    work, naming the key."""
+    monkeypatch.setattr(m.experiments, "_TASKS", {})
+    _cli_rejects(tmp_path, capsys, base_config(task=task), f"$.task.{path}:", why)
+
+
+def test_exhaustive_check_needs_no_trials():
+    m.validate_config(base_config(task={"kind": "check", "exhaustive": True}))
+    with pytest.raises(m.ConfigError, match="'trials' is a required property"):
+        m.validate_config(base_config(task={"kind": "check", "exhaustive": False}))
 
 
 @pytest.mark.parametrize("payoff", [

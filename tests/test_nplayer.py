@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import mfgtiming as m
-from mfgtiming._rng import STREAM_CONVERGE, derive_rng
-from mfgtiming.nplayer import CONVERGE_BLOCK_DRAWS, _binomial_weights
+from mfgtiming._expect import layer_values
+from mfgtiming._rng import STREAM_CONVERGE, STREAM_DEV_EVAL, derive_rng
+from mfgtiming.nplayer import (CONVERGE_BLOCK_DRAWS, _binomial_weights, _crowd_cdfs,
+                               _mc_profile_value)
 
 
 def half_liq(x):
@@ -264,6 +266,43 @@ def test_convergence_experiment_equals_one_sample_at_a_time(kind):
         rule = m.random_rule(tree, rng, p_stop=0.4)
         want = _convergence_one_sample_at_a_time(rule, n_list, 60, 8, lat)
         assert m.convergence_experiment(rule, n_list, 60, 8) == want
+
+
+def _mc_profile_value_one_sample_at_a_time(payoff, prof, mc, stream, deviator_rule=None):
+    """The sampled value of player 1, each sample drawn from its own
+    generator."""
+    steps = prof.rule.stop_steps()
+    dev_steps = steps if deviator_rule is None else deviator_rule.stop_steps()
+    lat = prof.rule.tree.lat
+    values = layer_values(payoff, lat)
+    vals = np.empty(mc.samples)
+    for s in range(mc.samples):
+        rng = derive_rng(mc.seed, stream, prof.n, s)
+        b = int(rng.integers(lat.num_paths))
+        wids = rng.integers(lat.num_paths, size=prof.n)
+        own = int(dev_steps[b, wids[0] % dev_steps.shape[1]])
+        counts = np.bincount(steps[b, wids[1:] % steps.shape[1]], minlength=lat.steps + 1)
+        cdf = np.broadcast_to(_crowd_cdfs(counts, own, prof.n),
+                              (lat.num_paths, lat.steps + 1))
+        vals[s] = values(own, np.array([b]), wids[:1], cdf)[0]
+    se = float(vals.std(ddof=1) / math.sqrt(mc.samples)) if mc.samples > 1 else 0.0
+    return float(vals.mean()), se
+
+
+@pytest.mark.parametrize("kind", ["public", "full", "signal"])
+@pytest.mark.parametrize("deviates", [False, True])
+def test_mc_profile_value_equals_one_sample_at_a_time(kind, deviates):
+    lat = m.build_lattice(3, 0.5, 0.0, 1.0, 1.0)
+    tree = {"public": m.public_tree, "full": m.full_tree,
+            "signal": lambda la: m.build_signal_tree(la, m.SignalModel(1.0))}[kind](lat)
+    F = m.bankrun_payoff(m.BankRunParams(rbar=0.3, r=0.1, liquidation=half_liq), lat)
+    rng = np.random.default_rng(24)
+    for n, samples in [(1, 1), (3, 40), (10, 60)]:
+        prof = m.NPlayerProfile(n, m.random_rule(tree, rng, p_stop=0.4))
+        dev = m.random_rule(tree, rng, p_stop=0.4) if deviates else None
+        mc = m.MonteCarlo(samples, seed=2 ** 40 + n)
+        got = _mc_profile_value(F, prof, mc, STREAM_DEV_EVAL, deviator_rule=dev)
+        assert got == _mc_profile_value_one_sample_at_a_time(F, prof, mc, STREAM_DEV_EVAL, dev)
 
 
 def _scipy_stats_binomial_weights(mm, q):
