@@ -12,8 +12,7 @@ approximates finite-player games.
 __version__ = "0.1.0"
 
 from .lattice import (AdaptedMeasure, GridMeasure, LatticeModel,
-                      build_lattice, cdf_uniform_distance, empirical_measure,
-                      empirical_measure_from_steps, point_mass, stochastic_leq)
+                      build_lattice, point_mass, stochastic_leq)
 from .trees import (InfoTree, SignalModel, StoppingRule, build_signal_tree,
                     conditional_law, count_rules, enumerate_rules, full_tree,
                     public_tree, random_rule)

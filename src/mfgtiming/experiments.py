@@ -420,7 +420,7 @@ def _task_bankrun_demo(config, payoff, tree) -> dict:
     hitting = public_info_equilibrium(params, lat)
     # full-recovery payoff by direct path enumeration
     rho = params.rbar - params.r
-    steps = hitting.stop_steps()[:, 0]
+    steps = hitting.steps_at(lat.path_ids, 0)
     oracle = float(np.mean(np.exp(rho * lat.grid[steps]))) * params.d0
     law = conditional_law(hitting)
     achieved = evaluate_J(payoff, law, hitting)

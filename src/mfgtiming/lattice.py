@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,14 +87,6 @@ class LatticeModel:
     @cached_property
     def w_values(self) -> np.ndarray:
         return self.path_values(0.0, self.dw)
-
-    def time_index(self, t: float) -> int:
-        """Grid index of a float date from outside the engine; raises if the
-        date is off the grid."""
-        k = int(round(t / self.dt))
-        if k < 0 or k > self.steps or abs(t - k * self.dt) > 1e-9 * max(self.dt, 1.0):
-            raise ValueError(f"time not on grid: {t!r}")
-        return k
 
     def path_id_from_values(self, vals: Sequence[float]) -> int:
         """Invert ``path_values`` row -> path id (by increment signs)."""
@@ -190,27 +182,6 @@ def point_mass(lat: LatticeModel, k: int) -> GridMeasure:
     mass = np.zeros(lat.steps + 1)
     mass[k] = 1.0
     return GridMeasure(mass)
-
-
-def empirical_measure(times: Iterable[float], lat: LatticeModel) -> GridMeasure:
-    """Empirical distribution of a sequence of float grid dates."""
-    return empirical_measure_from_steps([lat.time_index(t) for t in times], lat)
-
-
-def empirical_measure_from_steps(steps: np.ndarray, lat: LatticeModel) -> GridMeasure:
-    """Empirical distribution of a sequence of grid indices."""
-    steps = np.asarray(steps)
-    if steps.size == 0:
-        raise ValueError("empirical_measure needs at least one time")
-    mass = np.bincount(steps.ravel(), minlength=lat.steps + 1).astype(float)
-    return GridMeasure(mass / steps.size)
-
-
-def cdf_uniform_distance(m: GridMeasure, m0: GridMeasure) -> float:
-    """Kolmogorov distance: sup over grid dates of |CDF difference|."""
-    if len(m.mass) != len(m0.mass):
-        raise ValueError("grid mismatch")
-    return float(np.max(np.abs(m.cdf - m0.cdf)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ players' dates are i.i.d. with the rule's conditional law; a crowd gives
 each atom weighted rows of their date counts, from a binomial (payoffs
 that read the mass strictly before the date, which the deviator's own
 simultaneous atom never enters), from count multisets (other payoffs,
-small n) or from seeded draws.  The field payoff adds the deviator's
+small n) or from seeded draws.  A half-open crowd, binomial or drawn,
+is a count j of players stopped before the date, written as the row
+``[j, 0, ..., n-1-j]``.  Dates are read with ``StoppingRule.steps_at``
+and counted with ``date_counts``.  The field payoff adds the deviator's
 date to each row and reads it through the payoff's layer kernel, as the
 Monte Carlo profile value does for each sample.
 """
@@ -32,7 +35,7 @@ from ._expect import layer_values
 from .lattice import AdaptedMeasure, LatticeModel
 from .payoffs import PayoffSpec, evaluate_J
 from .snell import snell_solve
-from .trees import StoppingRule, conditional_law
+from .trees import StoppingRule, conditional_law, date_counts
 
 EXACT_GENERAL_CAP = 8
 CONVERGE_BLOCK_DRAWS = 1 << 19  # 2,000 samples of 256 players fit in one block
@@ -113,6 +116,15 @@ def _multiset_rows(mass: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(weights), np.array(rows)
 
 
+def _before_rows(js: np.ndarray, n: int, K: int) -> np.ndarray:
+    """Date-count rows ``[j, 0, ..., n-1-j]`` of a half-open crowd: j of
+    the other n-1 players stopped before the date, the rest later."""
+    counts = np.zeros((len(js), K + 1), dtype=np.int64)
+    counts[:, 0] = js
+    counts[:, K] += n - 1 - js
+    return counts
+
+
 def _crowd_cdfs(counts: np.ndarray, k: int, n: int) -> np.ndarray:
     """The empirical CDF of n players: the others' date counts (one row
     each) plus the deviator's unit at date ``k``, over ``n``."""
@@ -149,10 +161,7 @@ def _exact_crowd(payoff: PayoffSpec, n: int, law: AdaptedMeasure):
 
     def rows(q):
         js, ws = _binomial_weights(n - 1, q)
-        counts = np.zeros((len(js), K + 1), dtype=np.int64)
-        counts[:, 0] = js
-        counts[:, K] += n - 1 - js
-        return ws, counts
+        return ws, _before_rows(js, n, K)
 
     return key, rows
 
@@ -162,12 +171,14 @@ def _sampled_crowd(payoff: PayoffSpec, prof: NPlayerProfile, mc: MonteCarlo):
     idiosyncratic paths, equal rows merged.
 
     A half-open payoff reads only the past: the draws are keyed by the
-    date k and the common prefix before it, and count the players
-    stopped before k (at date 0) against the rest (at the horizon).  Any
-    other payoff keys them by the whole common path.
+    date k and the common prefix before it, and each reduces to how
+    many players stopped before k, as in the binomial crowd; the rows
+    are those counts in ascending order, weighted by their share of the
+    draws.  Any other payoff keys the draws by the whole common path and
+    merges equal date-count rows.
     """
-    steps = prof.rule.stop_steps()
-    lat = prof.rule.tree.lat
+    rule = prof.rule
+    lat = rule.tree.lat
     n, K, npaths = prof.n, lat.steps, lat.num_paths
 
     def key(k, b_ids):
@@ -179,13 +190,12 @@ def _sampled_crowd(payoff: PayoffSpec, prof: NPlayerProfile, mc: MonteCarlo):
         k, b = divmod(crowd_key, npaths)
         spawn = (n, k, b) if payoff.half_open else (n, b)
         rng = derive_rng(mc.seed, STREAM_DEV_PLAN, *spawn)
-        wids = rng.integers(npaths, size=(mc.samples, n - 1))
-        dates = steps[b, wids & (steps.shape[1] - 1)]
+        dates = rule.steps_at(b, rng.integers(npaths, size=(mc.samples, n - 1)))
         if payoff.half_open:
-            dates = np.where(dates < k, 0, K)
-        flat = dates + (K + 1) * np.arange(mc.samples)[:, None]  # one date block per draw
-        counts = np.bincount(flat.ravel(), minlength=mc.samples * (K + 1)).reshape(-1, K + 1)
-        counts, hits = np.unique(counts, axis=0, return_counts=True)
+            hits = np.bincount(np.count_nonzero(dates < k, axis=1), minlength=n)
+            js = np.nonzero(hits)[0]
+            return hits[js] / mc.samples, _before_rows(js, n, K)
+        counts, hits = np.unique(date_counts(dates, K), axis=0, return_counts=True)
         return hits / mc.samples, counts
 
     return key, rows
@@ -204,10 +214,10 @@ def _field_payoff(payoff: PayoffSpec, n: int, lat: LatticeModel, crowd) -> Payof
     """
     key, rows = crowd
     shape = (lat.num_paths, lat.steps + 1)
+    values = layer_values(payoff, lat)  # once, so the scalar adapter keeps its measures
     cache: dict = {}
 
     def evaluate_layer(k, b_ids, w_ids, _cdf):
-        values = layer_values(payoff, lat)
         keys, group = np.unique(key(k, b_ids), return_inverse=True)
         out = np.empty(len(b_ids))
         for g, crowd_key in enumerate(keys.tolist()):
@@ -250,22 +260,23 @@ def _mc_profile_value(payoff: PayoffSpec, prof: NPlayerProfile, mc: MonteCarlo,
                       ) -> tuple[float, float]:
     """Sampled value of player 1 (optionally playing a different rule).
 
-    Stop steps are indexed as ``steps[b, wids & (width - 1)]``, which
-    serves both the single column of a w-free tree and the joint grid.
+    Each block of samples reads player 1's dates and the others' date
+    counts at once; the payoff is then read once per sample, against
+    that sample's crowd CDF.
     """
-    steps = prof.rule.stop_steps()
-    dev_steps = deviator_rule.stop_steps() if deviator_rule is not None else steps
-    lat = prof.rule.tree.lat
+    rule = prof.rule
+    dev_rule = deviator_rule if deviator_rule is not None else rule
+    lat = rule.tree.lat
     shape = (lat.num_paths, lat.steps + 1)
     values = layer_values(payoff, lat)
     vals = np.empty(mc.samples)
     for start, bs, wids in _sample_blocks(mc.seed, stream, prof.n, mc.samples, lat.num_paths):
-        for s, (b, row) in enumerate(zip(bs.tolist(), wids), start):
-            own = int(dev_steps[b, row[0] & (dev_steps.shape[1] - 1)])
-            counts = np.bincount(steps[b, row[1:] & (steps.shape[1] - 1)],
-                                 minlength=lat.steps + 1)
+        owns = dev_rule.steps_at(bs, wids[:, 0]).tolist()
+        crowds = date_counts(rule.steps_at(bs[:, None], wids[:, 1:]), lat.steps)
+        for s, (b, own, w, counts) in enumerate(zip(bs.tolist(), owns, wids[:, :1], crowds),
+                                                start):
             cdf = np.broadcast_to(_crowd_cdfs(counts, own, prof.n), shape)
-            vals[s] = values(own, np.array([b]), row[:1], cdf)[0]
+            vals[s] = values(own, np.array([b]), w, cdf)[0]
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(mc.samples)) if mc.samples > 1 else 0.0
     return mean, se
@@ -344,18 +355,13 @@ def convergence_experiment(mfe_rule: StoppingRule, n_list: list[int],
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    steps = mfe_rule.stop_steps()
     law = conditional_law(mfe_rule)
-    npaths = law.lat.num_paths
-    kk = law.lat.steps + 1
+    lat = law.lat
     rows = []
     for n in n_list:
         total = 0.0
-        for _, bs, wids in _sample_blocks(seed, STREAM_CONVERGE, n, samples, npaths):
-            count = len(bs)
-            flat = (steps[bs[:, None], wids & (steps.shape[1] - 1)]
-                    + kk * np.arange(count)[:, None])
-            counts = np.bincount(flat.ravel(), minlength=count * kk).reshape(count, kk)
+        for _, bs, wids in _sample_blocks(seed, STREAM_CONVERGE, n, samples, lat.num_paths):
+            counts = date_counts(mfe_rule.steps_at(bs[:, None], wids), lat.steps)
             emp_cdf = np.cumsum(counts, axis=1) / n
             for dist in np.max(np.abs(emp_cdf - law.cdf[bs]), axis=1).tolist():
                 total += dist

@@ -54,8 +54,8 @@ import numpy as np
 
 from ._expect import layer_values, stop_reward_layers
 from .lattice import AdaptedMeasure, GridMeasure, LatticeModel, stochastic_leq
-from .trees import (InfoTree, StoppingRule, conditional_law, enumerate_rules,
-                    full_tree, random_rule)
+from .trees import (InfoTree, StoppingRule, conditional_law, date_counts,
+                    enumerate_rules, full_tree, random_rule)
 
 INEQ_TOL = 1e-9
 
@@ -252,20 +252,16 @@ def evaluate_J(payoff: PayoffSpec, mu: AdaptedMeasure, rule: StoppingRule) -> fl
     lat = rule.tree.lat
     if mu.lat != lat:
         raise ValueError("lattice mismatch")
-    steps = rule.stop_steps()
-    n, kk = lat.num_paths, lat.steps + 1
+    n = lat.num_paths
     if payoff.w_dependent:
-        width = n
-        dates = np.broadcast_to(steps, (n, n)).astype(np.int64).ravel()
         b_ids = np.repeat(lat.path_ids, n)
         w_ids = np.tile(lat.path_ids, n)
+        dates = rule.steps_at(b_ids, w_ids)
         counts = np.ones(n * n, dtype=np.int64)
     else:
-        width = steps.shape[1]
-        flat = steps.astype(np.int64) + kk * lat.path_ids[:, None]
-        table = np.bincount(flat.ravel(), minlength=n * kk)
+        table = date_counts(rule.stop_steps(), lat.steps).ravel()
         cells = np.nonzero(table)[0]
-        b_ids, dates = np.divmod(cells, kk)
+        b_ids, dates = np.divmod(cells, lat.steps + 1)
         w_ids = np.zeros(len(cells), dtype=np.int64)
         counts = table[cells]
     values = layer_values(payoff, lat)
@@ -275,7 +271,7 @@ def evaluate_J(payoff: PayoffSpec, mu: AdaptedMeasure, rule: StoppingRule) -> fl
         vals[at] = values(k, b_ids[at], w_ids[at], mu.cdf)
     # a running sum adds the terms in order; ndarray.sum would add pairwise
     total = np.cumsum(np.concatenate(([0.0], counts * vals)))[-1]
-    return float(total / (n * width))
+    return float(total / counts.sum())  # n*n joint paths, or n on a w-free tree
 
 
 # ---------------------------------------------------------------------------

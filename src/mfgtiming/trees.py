@@ -22,6 +22,9 @@ the node.  ``StoppingRule`` canonicalises every decision it is given
 equality equivalent to equality of the induced stopping times.  Stop
 steps are read from that form: a path stops on a suffix of its nodes,
 so its stop index follows from how many stopped nodes it passes.
+Other modules read the stop step of given joint paths only through
+``StoppingRule.steps_at``, which alone knows that a w-free tree stores
+one column, and count dates per row with ``date_counts``.
 """
 
 from __future__ import annotations
@@ -255,6 +258,15 @@ class StoppingRule:
         object.__setattr__(self, "_steps", out)
         return out
 
+    def steps_at(self, b_ids, w_ids) -> np.ndarray:
+        """Stop steps of the joint paths ``(b_ids, w_ids)``, broadcast together.
+
+        A w-free tree stores one column of stop steps, which every
+        idiosyncratic path reads.
+        """
+        steps = self.stop_steps()
+        return steps[b_ids, w_ids & (steps.shape[1] - 1)]
+
     def pointwise_leq(self, other: "StoppingRule") -> bool:
         """True iff this rule stops no later than ``other`` on every path."""
         return bool(np.all(self.stop_steps() <= other.stop_steps()))
@@ -346,9 +358,13 @@ def conditional_law(rule: StoppingRule) -> AdaptedMeasure:
     if steps.shape[1] == 1:
         cdf = (steps <= kk[None, :]).astype(float)
     else:
-        n = lat.num_paths
-        flat = steps.astype(np.int64) + (lat.steps + 1) * np.arange(n, dtype=np.int64)[:, None]
-        counts = np.bincount(flat.ravel(), minlength=n * (lat.steps + 1))
-        counts = counts.reshape(n, lat.steps + 1)
-        cdf = np.cumsum(counts, axis=1) / float(n)
+        cdf = np.cumsum(date_counts(steps, lat.steps), axis=1) / float(lat.num_paths)
     return AdaptedMeasure(lat, cdf)
+
+
+def date_counts(steps: np.ndarray, K: int) -> np.ndarray:
+    """How many entries of each row of ``steps`` fall on each of the K+1
+    dates: a ``(rows, K+1)`` int64 histogram, one ``bincount`` in all."""
+    rows = steps.shape[0]
+    flat = steps + (K + 1) * np.arange(rows, dtype=np.int64)[:, None]  # one date block per row
+    return np.bincount(flat.ravel(), minlength=rows * (K + 1)).reshape(rows, K + 1)

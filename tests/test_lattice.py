@@ -34,51 +34,14 @@ def test_build_lattice_validation():
             m.build_lattice(**kwargs)
 
 
-def test_time_index_off_grid():
-    lat = m.build_lattice(2, 0.5, 0.0, 1.0, 1.0)
-    assert lat.time_index(0.5) == 1
-    with pytest.raises(ValueError, match="time not on grid"):
-        lat.time_index(0.3)
-
-
 def test_path_id_round_trip():
     lat = m.build_lattice(4, 0.5, 2.0, 0.7, 1.0)
     for pid in range(lat.num_paths):
         assert lat.path_id_from_values(lat.b_values[pid]) == pid
 
 
-def test_empirical_measure_counts():
-    lat = m.build_lattice(2, 1.0, 0.0, 1.0, 1.0)
-    gm = m.empirical_measure([0.0, 1.0, 1.0], lat)
-    assert gm.mass[0] == pytest.approx(1 / 3)
-    assert gm.mass[1] == pytest.approx(2 / 3)
-    assert gm.mass[2] == 0.0
-
-
-def test_empirical_measure_point_mass():
-    lat = m.build_lattice(3, 0.5, 0.0, 1.0, 1.0)
-    gm = m.empirical_measure([lat.horizon] * 7, lat)
-    assert gm == m.point_mass(lat, lat.steps)
-
-
-def test_empirical_measure_cdf():
-    lat = m.build_lattice(2, 1.0, 0.0, 1.0, 1.0)
-    gm = m.empirical_measure([0.0, 0.0, 0.0, 2.0], lat)
-    assert gm.cdf[0] == 0.75
-    assert gm.cdf[2] == 1.0
-
-
-def test_empirical_measure_errors():
-    lat = m.build_lattice(2, 1.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        m.empirical_measure([], lat)
-    with pytest.raises(ValueError, match="time not on grid"):
-        m.empirical_measure([0.7], lat)
-
-
 def test_grid_measure_half_open_vs_closed():
-    lat = m.build_lattice(2, 1.0, 0.0, 1.0, 1.0)
-    gm = m.empirical_measure([0.0, 1.0], lat)
+    gm = m.GridMeasure([0.5, 0.5, 0.0])
     assert gm.mass_before(0) == 0.0
     assert gm.mass_before(1) == 0.5
     assert gm.mass_upto(1) == 1.0
@@ -93,19 +56,6 @@ def test_grid_measure_index_out_of_range():
         gm.mass_upto(-1)
     with pytest.raises(ValueError, match="out of range"):
         gm.mass_before(lat.steps + 1)
-
-
-def test_cdf_uniform_distance():
-    lat = m.build_lattice(2, 1.0, 0.0, 1.0, 1.0)
-    d0 = m.point_mass(lat, 0)
-    dT = m.point_mass(lat, 2)
-    uni = m.empirical_measure([0.0, 1.0], lat)
-    assert m.cdf_uniform_distance(d0, d0) == 0.0
-    assert m.cdf_uniform_distance(d0, dT) == 1.0
-    assert m.cdf_uniform_distance(uni, d0) == 0.5
-    other = m.build_lattice(3, 1.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="grid mismatch"):
-        m.cdf_uniform_distance(d0, m.point_mass(other, 0))
 
 
 def test_adapted_measure_validation():

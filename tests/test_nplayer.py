@@ -10,9 +10,10 @@ import pytest
 
 import mfgtiming as m
 from mfgtiming._expect import layer_values
-from mfgtiming._rng import STREAM_CONVERGE, STREAM_DEV_EVAL, derive_rng
+from mfgtiming._rng import STREAM_CONVERGE, STREAM_DEV_EVAL, STREAM_DEV_PLAN, derive_rng
 from mfgtiming.nplayer import (CONVERGE_BLOCK_DRAWS, _binomial_weights, _crowd_cdfs,
-                               _mc_profile_value)
+                               _exact_crowd, _field_payoff, _mc_profile_value,
+                               _sampled_crowd)
 
 
 def half_liq(x):
@@ -344,3 +345,72 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _sampled_crowd_rows_by_unique(payoff, prof, mc, crowd_key):
+    """A sampled crowd's weights and rows as ``np.unique(axis=0)`` merges
+    the draws' date-count rows, half-open draws moved to date 0 or K."""
+    steps = prof.rule.stop_steps()
+    lat = prof.rule.tree.lat
+    n, K, npaths = prof.n, lat.steps, lat.num_paths
+    k, b = divmod(crowd_key, npaths)
+    spawn = (n, k, b) if payoff.half_open else (n, b)
+    rng = derive_rng(mc.seed, STREAM_DEV_PLAN, *spawn)
+    wids = rng.integers(npaths, size=(mc.samples, n - 1))
+    dates = steps[b, wids % steps.shape[1]]
+    if payoff.half_open:
+        dates = np.where(dates < k, 0, K)
+    counts = np.array([np.bincount(row, minlength=K + 1) for row in dates]).reshape(-1, K + 1)
+    counts, hits = np.unique(counts, axis=0, return_counts=True)
+    return hits / mc.samples, counts
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("kind", ["public", "full", "signal"])
+def test_sampled_crowd_rows_equal_unique_merge(kind, closed):
+    lat = m.build_lattice(3, 0.5, 3.0, 1.0, 1.0)
+    tree = {"public": m.public_tree, "full": m.full_tree,
+            "signal": lambda la: m.build_signal_tree(la, m.SignalModel(1.0))}[kind](lat)
+    F = m.bankrun_payoff(m.BankRunParams(rbar=0.1, r=0.0, liquidation=half_liq), lat,
+                         closed_interval=closed)
+    # a rule that stops nowhere before date 2, so the crowd's dates spread
+    raw = np.random.default_rng(25).random(tree.num_nodes) < 0.3
+    raw[:tree.offsets[2]] = False
+    rules = [m.solve_mfe(F, tree).rule_max, m.StoppingRule(tree, raw)]
+    mc = m.MonteCarlo(37, seed=2 ** 33 + 5)
+    for rule in rules:
+        for n in range(1, 18):
+            prof = m.NPlayerProfile(n, rule)
+            key, rows = _sampled_crowd(F, prof, mc)
+            keys = {x for k in range(lat.steps + 1) for x in key(k, lat.path_ids).tolist()}
+            for crowd_key in sorted(keys):
+                weights, counts = rows(crowd_key)
+                want_w, want_c = _sampled_crowd_rows_by_unique(F, prof, mc, crowd_key)
+                assert weights.dtype == want_w.dtype and np.array_equal(weights, want_w)
+                assert counts.dtype == want_c.dtype and np.array_equal(counts, want_c)
+
+
+def test_field_payoff_keeps_scalar_adapter_measures(monkeypatch):
+    """A field payoff over a payoff without a kernel builds each crowd
+    measure once, however often its layers are read."""
+    lat = m.build_lattice(3, 0.5, 3.0, 1.0, 1.0)
+    G = m.diffusion_payoff(m.DiffusionPayoffParams(
+        f=lambda x, y, t: y, phi=lambda u: max(u, 0.0)), lat)
+    assert G.evaluate_layer is None
+    law = m.conditional_law(m.StoppingRule.stop_at(m.public_tree(lat), 2))
+    field = _field_payoff(G, 3, lat, _exact_crowd(G, 3, law))
+    built = []
+    init = m.GridMeasure.__init__
+
+    def counting(self, *args, **kwargs):  # as the benchmark tracer counts them
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(m.GridMeasure, "__init__", counting)
+    ids = lat.path_ids
+    first = [field.evaluate_layer(k, ids, ids, law.cdf) for k in range(lat.steps + 1)]
+    assert len(built) > 0
+    built.clear()
+    again = [field.evaluate_layer(k, ids, ids, law.cdf) for k in range(lat.steps + 1)]
+    assert len(built) == 0
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))

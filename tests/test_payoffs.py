@@ -41,7 +41,7 @@ def test_bankrun_exhausted_pot(lat):
 def test_bankrun_interior_claim(lat):
     p = m.BankRunParams(rbar=0.3, r=0.1, liquidation=half_liq, d0=1.0)
     F = m.bankrun_payoff(p, lat)
-    half = m.empirical_measure([0.0, lat.horizon], lat)  # crowd 1/2 before t>0
+    half = m.GridMeasure([0.5, 0.0, 0.0, 0.5])  # crowd 1/2 before t>0
     b_up = lat.path_id_from_values([3.0, 4.0, 5.0, 6.0])
     # claim = L(4) - 1/2 = 1.5 -> capped at d0; pick a lower path for interior
     b_id = lat.path_id_from_values([3.0, 2.0, 3.0, 4.0])
@@ -152,7 +152,7 @@ def test_diffusion_relu_convolution():
     lat = m.build_lattice(2, 0.5, 0.0, 1.0, 1.0)
     F = m.diffusion_payoff(m.DiffusionPayoffParams(
         f=lambda x, y, t: y, phi=lambda u: max(u, 0.0)), lat)
-    uni = m.empirical_measure([0.0, 0.5], lat)
+    uni = m.GridMeasure([0.5, 0.5, 0.0])
     dt = lat.dt
     val = F.evaluate(lat.b_values[0], lat.w_values[0], uni, 2)
     assert val == pytest.approx((2 * dt + dt) / 2)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import mfgtiming as m
 from mfgtiming._expect import layer_atoms
+from mfgtiming.trees import date_counts
 
 
 def posterior(tree, k, local):
@@ -307,3 +308,34 @@ def test_rule_primitives_equal_per_path_oracle(name, steps, seed, p_stop):
     timed = m.StoppingRule.from_times(tree, expect)
     assert np.array_equal(timed.decision, canonical_oracle(tree, timed.decision))
     assert timed == rule
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(["public", "full", "signal-1"]), steps=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5), cols=st.integers(0, 6))
+def test_steps_at_and_date_counts_equal_per_path_loop(name, steps, seed, rows, cols):
+    lat = m.build_lattice(steps, 0.5, 3.0, 1.0, 1.0)
+    rule = m.random_rule(TREES[name](lat), np.random.default_rng(seed))
+    n, K = lat.num_paths, lat.steps
+    joint = np.broadcast_to(rule.stop_steps(), (n, n))  # every joint path, (b, w)
+    rng = np.random.default_rng(seed + 1)
+    # scalar ids
+    b, w = int(rng.integers(n)), int(rng.integers(n))
+    assert rule.steps_at(b, w) == joint[b, w]
+    # a row: one common path, many idiosyncratic paths; and paired rows
+    bs, ws = rng.integers(n, size=cols), rng.integers(n, size=cols)
+    assert rule.steps_at(b, ws).tolist() == [joint[b, x] for x in ws.tolist()]
+    assert rule.steps_at(bs, ws).tolist() == [joint[p, x] for p, x in zip(bs.tolist(), ws.tolist())]
+    # broadcast: one common path per row, a block of idiosyncratic paths
+    bs, ws = rng.integers(n, size=rows), rng.integers(n, size=(rows, cols))
+    got = rule.steps_at(bs[:, None], ws)
+    want = [[joint[p, x] for x in row] for p, row in zip(bs.tolist(), ws.tolist())]
+    assert got.shape == (rows, cols) and got.tolist() == want
+    # date counts of those rows, and of the stored table as conditional_law reads it
+    for table in (got, rule.stop_steps()):
+        loop = np.zeros((len(table), K + 1), dtype=np.int64)
+        for i, row in enumerate(table.tolist()):
+            for date in row:
+                loop[i, date] += 1
+        counts = date_counts(table, K)
+        assert counts.dtype == loop.dtype and np.array_equal(counts, loop)
