@@ -9,6 +9,11 @@ much of that averaging can be collapsed; the collapsed and uncollapsed
 computations agree exactly because the payoff is constant across the
 collapsed coordinates.
 
+The atoms depend only on the tree, the layer and the payoff's
+``w_dependent`` flag, not on the crowd, so they are built once per
+(tree, layer, ``w_dependent``) and kept, read-only, on the tree: the
+Snell solves of a best-response loop share one build.
+
 Payoff values come a layer at a time from :func:`layer_values`: the
 payoff's array kernel ``evaluate_layer(k, b_ids, w_ids, cdf)`` when it
 has one, else a scalar adapter that calls ``evaluate`` once per atom.
@@ -39,7 +44,10 @@ def layer_atoms(tree: InfoTree, k: int, w_dependent: bool):
 
     Returns ``(node_local, b_prefix, w_prefix, weight)`` where weights
     sum to 1 within each node.  When the payoff is w-independent, atoms
-    are collapsed over the idiosyncratic prefix (weights accumulate).
+    are collapsed over the idiosyncratic prefix (weights accumulate),
+    and ``w_prefix`` is a zero broadcast to their number, which takes
+    no memory; on a w-free tree ``b_prefix`` is then a view of the
+    lattice's path ids.
     """
     n = 1 << k
     size = tree.layer_sizes[k]
@@ -54,8 +62,8 @@ def layer_atoms(tree: InfoTree, k: int, w_dependent: bool):
             weight = 1.0 / (nb[atom_node] * n)
         else:
             atom_node = node_of_b
-            atom_b = np.arange(n, dtype=np.int64)
-            atom_w = np.zeros(n, dtype=np.int64)
+            atom_b = tree.lat.path_ids[:n]
+            atom_w = np.broadcast_to(np.int64(0), (n,))
             weight = 1.0 / nb[atom_node]
     else:
         counts = np.bincount(nodes.ravel(), minlength=size)
@@ -69,9 +77,22 @@ def layer_atoms(tree: InfoTree, k: int, w_dependent: bool):
             uniq, cell = np.unique(key.ravel(), return_counts=True)
             atom_node = uniq // n
             atom_b = uniq % n
-            atom_w = np.zeros(len(uniq), dtype=np.int64)
+            atom_w = np.broadcast_to(np.int64(0), uniq.shape)
             weight = cell / counts[atom_node]
     return atom_node, atom_b, atom_w, weight
+
+
+def _tree_atoms(tree: InfoTree, k: int, w_dependent: bool):
+    """``layer_atoms(tree, k, w_dependent)``, built on first use and kept
+    on the tree; threads that race may build a layer twice, then share one."""
+    key = (k, w_dependent)
+    atoms = tree._atoms.get(key)
+    if atoms is None:
+        atoms = layer_atoms(tree, k, w_dependent)  # by module attribute: a rebinding sees it
+        for arr in atoms:
+            arr.setflags(write=False)
+        atoms = tree._atoms.setdefault(key, atoms)
+    return atoms
 
 
 def layer_values(payoff, lat: LatticeModel):
@@ -108,7 +129,9 @@ def stop_reward_layers(payoff, mu: AdaptedMeasure, tree: InfoTree) -> list[np.nd
 
     Cost grows with 4**k atoms per layer on non-collapsing trees and
     with 2**(K-k) suffix extensions for payoffs that read future mass,
-    so keep w-dependent payoffs and joint trees to small lattices.
+    so keep w-dependent payoffs and joint trees to small lattices.  The
+    atoms are built once per (tree, layer, ``w_dependent``); later calls
+    on the same tree pay only for the payoff values and the sums.
     """
     lat = tree.lat
     need_b, need_w = _suffix_needs(payoff)
@@ -123,7 +146,7 @@ def stop_reward_layers(payoff, mu: AdaptedMeasure, tree: InfoTree) -> list[np.nd
         b_ext = [e << k for e in range(1 << shift)] if (need_b and shift) else [0]
         w_ext = [e << k for e in range(1 << shift)] if (need_w and shift) else [0]
         inv = 1.0 / (len(b_ext) * len(w_ext))
-        atom_node, atom_b, atom_w, weight = layer_atoms(tree, k, payoff.w_dependent)
+        atom_node, atom_b, atom_w, weight = _tree_atoms(tree, k, payoff.w_dependent)
         acc = np.zeros(len(atom_node))
         for be in b_ext:  # suffix columns one at a time, in enumeration order
             for we in w_ext:

@@ -157,7 +157,7 @@ def _exact_crowd(payoff: PayoffSpec, n: int, law: AdaptedMeasure):
     K = law.lat.steps
 
     def key(k, b_ids):
-        return law.cdf[b_ids, k - 1] if k > 0 else np.zeros(len(b_ids))
+        return law.cdf[:, k - 1][b_ids] if k > 0 else np.zeros(len(b_ids))
 
     def rows(q):
         js, ws = _binomial_weights(n - 1, q)

@@ -29,7 +29,7 @@ w_ids, cdf) -> ndarray``: the values at date ``k`` of many atoms at
 once.  ``b_ids`` and ``w_ids`` are int64 path ids, one per atom, and
 ``cdf`` is a ``(2**K, K+1)`` table whose row ``b`` is the crowd's CDF
 along common path ``b`` (``AdaptedMeasure.cdf``); the kernel gathers
-only the entries it reads, such as ``cdf[b_ids, k - 1]``.  Its values
+only the entries it reads, such as ``cdf[:, k - 1][b_ids]``.  Its values
 must equal ``evaluate``'s bit for bit, with row ``b`` standing for the
 crowd measure, and it must not call ``evaluate``.  The engine calls the
 kernel once per layer; a payoff without one (``evaluate_layer=None``,
@@ -103,11 +103,20 @@ class BankRunParams:
 
 
 def liquidation_table(liq: Callable[[float], float], lat: LatticeModel) -> list:
-    """``L(B_k)`` per date k, indexed by k-step prefix; one call of L per value."""
+    """``L(B_k)`` per date k, indexed by k-step prefix.
+
+    A prefix with j up-steps ends at ``B_k = b0 + db * (2j - k)``, the
+    arithmetic of ``LatticeModel.path_values``, so L is called once per
+    j = 0..k, ascending, and each prefix gathers the value of its
+    up-step count.  No path-value table is built.
+    """
     table = []
+    ups = np.zeros(1, dtype=np.int64)  # up-steps of each k-step prefix
     for k in range(lat.steps + 1):
-        values, where = np.unique(lat.b_values[:1 << k, k], return_inverse=True)
-        table.append(np.array([liq(v) for v in values])[where])
+        b_k = np.empty(k + 1)  # stored as path_values stores B_k, date 0 included
+        b_k[:] = lat.b0 + lat.db * np.arange(-k, k + 1, 2) if k else lat.b0
+        table.append(np.array([liq(v) for v in b_k])[ups])
+        ups = np.concatenate((ups, ups + 1))  # step k+1 down, then up
     return table
 
 
@@ -136,9 +145,9 @@ def bankrun_payoff(p: BankRunParams, lat: LatticeModel,
 
     def evaluate_layer(k, b_ids, w_ids, cdf):
         if closed_interval:
-            crowd = cdf[b_ids, k]
+            crowd = cdf[:, k][b_ids]
         else:
-            crowd = cdf[b_ids, k - 1] if k > 0 else 0.0
+            crowd = cdf[:, k - 1][b_ids] if k > 0 else 0.0
         claim = liq_at[k][b_ids & ((1 << k) - 1)] - crowd
         claim = np.where(claim < 0.0, 0.0, claim)
         return growth[k] * np.where(claim > d0, d0, claim)
@@ -227,7 +236,7 @@ def crowd_fraction_payoff() -> PayoffSpec:
     constant; used as the negative control for the checkers.
     """
     def evaluate_layer(k, b_ids, w_ids, cdf):
-        return cdf[b_ids, k - 1] if k > 0 else np.zeros(len(b_ids))
+        return cdf[:, k - 1][b_ids] if k > 0 else np.zeros(len(b_ids))
 
     return PayoffSpec(lambda b, w, m, k: m.mass_before(k), w_dependent=False,
                       reads_full_path=False, half_open=True, label="crowd_fraction",

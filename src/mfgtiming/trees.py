@@ -60,8 +60,10 @@ class InfoTree:
         self.num_symbols = int(table.max()) + 1
         self.symbol_probs = np.bincount(table.ravel(), minlength=self.num_symbols) / 4.0
         self.w_free = bool(np.all(table[:, 0] == table[:, 1]))
-        # local node per prefix pair, layer by layer (see prefix_nodes)
-        self._prefix_nodes = [np.zeros((1, 1), dtype=np.int64)]
+        # local node per prefix pair, by layer (see prefix_nodes)
+        self._prefix_nodes = {0: np.zeros((1, 1), dtype=np.int64)}
+        # read-only posterior atoms by (k, w_dependent), kept by _expect
+        self._atoms = {}
 
     @cached_property
     def symbols(self) -> tuple:
@@ -105,16 +107,17 @@ class InfoTree:
         Row ``b`` and column ``w`` are the prefixes' path ids (bit j is
         step j); a w-free tree has a single column.
         """
-        cache = self._prefix_nodes
-        step = self.symbol_of[:, :1] if self.w_free else self.symbol_of
-        while len(cache) <= k:
-            j, prev = len(cache) - 1, cache[-1]
-            # bit j of the prefix ids picks a block; its symbol s adds s * S**j
-            nxt = np.tile(prev, step.shape) + np.kron(step * self.layer_sizes[j],
-                                                      np.ones_like(prev))
-            nxt.setflags(write=False)
-            cache.append(nxt)
-        return cache[k]
+        nodes = self._prefix_nodes.get(k)
+        if nodes is None:
+            prev = self.prefix_nodes(k - 1)
+            step = self.symbol_of[:, :1] if self.w_free else self.symbol_of
+            # bit k-1 of the prefix ids picks a block; its symbol s adds s * S**(k-1)
+            nodes = np.tile(prev, step.shape) + np.kron(step * self.layer_sizes[k - 1],
+                                                        np.ones_like(prev))
+            nodes.setflags(write=False)
+            # threads that race build a layer twice, then share one
+            nodes = self._prefix_nodes.setdefault(k, nodes)
+        return nodes
 
     def joint_layers(self):
         """Yield (k, local-node array) over all joint paths, layer by layer.

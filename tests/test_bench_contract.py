@@ -17,6 +17,7 @@ self-test runs ``perfbench/selftest.py`` as a user would, from the root
 of the checkout.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -170,6 +171,25 @@ def test_tracer_counts_scalar_payoff_calls(tmp_path):
     got = traced(diffusion_configs(), tmp_path)
     assert got["scalar_calls"] > 0
     assert got["metrics"]["payoffs.evaluations"] == got["scalar_calls"]
+
+
+def test_traced_benchmark_run_prints_every_per_layer_metric():
+    """A traced ``perfbench/run.py`` run, as the benchmark starts it from
+    the root of the checkout, ends with a line whose ``metrics`` hold
+    every per-layer metric ``perfbench/spec.py`` declares.  A run that
+    loses one still exits 0: an import that loads no scipy module drops
+    ``import.scipy_stats_s``, and a moved binding drops its metrics."""
+    loader = importlib.util.spec_from_file_location(
+        "perfbench_spec", ROOT / "perfbench" / "spec.py")
+    spec = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spec)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "solve-signal-k8",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert set(name for name, _ in spec.PER_LAYER) <= set(last["metrics"])
 
 
 def test_benchmark_selftest_passes():

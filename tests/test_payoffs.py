@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mfgtiming as m
+from mfgtiming.experiments import _make_liquidation
 from mfgtiming.nplayer import _exact_crowd, _field_payoff
+from mfgtiming.payoffs import liquidation_table
 
 
 @pytest.fixture
@@ -79,6 +83,56 @@ def test_bankrun_params_validation():
         m.BankRunParams(rbar=0.1, r=0.1, liquidation=half_liq)
     with pytest.raises(ValueError):
         m.BankRunParams(rbar=0.2, r=0.1, liquidation=half_liq, d0=0.0)
+
+
+LIQUIDATIONS = {
+    "linear": _make_liquidation({"preset": "linear", "a": 0.5, "c": 0.0}),
+    "sqrt": _make_liquidation({"preset": "sqrt", "a": 0.7, "c": 0.1}),
+    "quadratic": lambda x: 0.3 * x * x - x / 3.0,
+    "int-step": lambda x: int(x > 2.0),  # Python ints: an int64 table
+    "sign": lambda x: math.copysign(1.0, x),  # tells -0.0 from 0.0
+}
+
+
+def b_values_liquidation_table(liq, lat):
+    """The table read from the path-value table, one call of L per
+    distinct value of B_k (the form before up-step counts)."""
+    table = []
+    for k in range(lat.steps + 1):
+        values, where = np.unique(lat.b_values[:1 << k, k], return_inverse=True)
+        table.append(np.array([liq(v) for v in values])[where])
+    return table
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(steps=st.integers(1, 12),
+       b0=st.one_of(st.sampled_from([3.0, 0.1, 1e17, -2.3, 1 / 3, 0.0, -0.0]),
+                    st.floats(-1e6, 1e6, allow_nan=False)),
+       db=st.one_of(st.sampled_from([1.0, 0.1, 0.3, 1e-3, 2 / 3]),
+                    st.floats(1e-6, 1e3, allow_nan=False)),
+       liq_name=st.sampled_from(sorted(LIQUIDATIONS)))
+@example(steps=3, b0=-0.0, db=0.3, liq_name="sign")
+@example(steps=12, b0=1e17, db=1e-3, liq_name="quadratic")  # equal B_k at every j
+def test_liquidation_table_equals_path_value_form(steps, b0, db, liq_name):
+    """Up-step counts give the table of the path values bit for bit,
+    dtype included, with no more calls of L than one per date and
+    up-step count, and the bank run builds no path-value table."""
+    lat = m.build_lattice(steps, 0.5, b0, db, 1.0)
+    calls = []
+
+    def liq(x):
+        calls.append(x)
+        return LIQUIDATIONS[liq_name](x)
+
+    table = liquidation_table(liq, lat)
+    assert len(calls) <= (steps + 1) * (steps + 2) // 2
+    m.bankrun_payoff(m.BankRunParams(0.1, 0.0, liq), lat)
+    assert "b_values" not in lat.__dict__
+    oracle = b_values_liquidation_table(LIQUIDATIONS[liq_name], lat)
+    assert len(table) == len(oracle) == steps + 1
+    for got, want in zip(table, oracle):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

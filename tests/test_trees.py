@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,31 @@ def test_full_tree_node_is_base_four_symbol_sequence():
         w = np.arange(1 << k)[None, :]
         expect = sum((((b >> j) & 1) + 2 * ((w >> j) & 1)) * 4 ** j for j in range(k))
         assert np.array_equal(tree.prefix_nodes(k), np.broadcast_to(expect, (1 << k, 1 << k)))
+
+
+def test_prefix_nodes_filled_by_two_threads_at_once():
+    """Two threads that fill a new tree's prefix nodes together leave the
+    layers a single thread builds; posterior atoms are built from them
+    and kept for the tree's lifetime."""
+    lat = m.build_lattice(9, 0.5, 3.0, 1.0, 1.0)
+    sig = m.SignalModel(1.0)
+    want = [m.build_signal_tree(lat, sig).prefix_nodes(k) for k in range(lat.steps + 1)]
+    for _ in range(10):
+        tree = m.build_signal_tree(lat, sig)
+        start = threading.Barrier(2)
+
+        def fill():
+            start.wait()
+            for k in range(lat.steps + 1):
+                tree.prefix_nodes(k)
+
+        threads = [threading.Thread(target=fill) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for k in range(lat.steps + 1):
+            assert np.array_equal(tree.prefix_nodes(k), want[k])
 
 
 # -- the per-path rule primitives, kept here as the oracle -----------------
