@@ -145,12 +145,15 @@ def stop_reward_layers(payoff, mu: AdaptedMeasure, tree: InfoTree) -> list[np.nd
         shift = lat.steps - k
         b_ext = [e << k for e in range(1 << shift)] if (need_b and shift) else [0]
         w_ext = [e << k for e in range(1 << shift)] if (need_w and shift) else [0]
-        inv = 1.0 / (len(b_ext) * len(w_ext))
         atom_node, atom_b, atom_w, weight = _tree_atoms(tree, k, payoff.w_dependent)
-        acc = np.zeros(len(atom_node))
-        for be in b_ext:  # suffix columns one at a time, in enumeration order
-            for we in w_ext:
-                acc += values(k, atom_b + be, atom_w + we, mu.cdf)
-        layers.append(np.bincount(atom_node, weights=weight * inv * acc,
-                                  minlength=tree.layer_sizes[k]))
+        if len(b_ext) * len(w_ext) == 1:  # the only suffix is 0
+            terms = weight * values(k, atom_b, atom_w, mu.cdf)
+        else:
+            inv = 1.0 / (len(b_ext) * len(w_ext))
+            acc = np.zeros(len(atom_node))
+            for be in b_ext:  # suffix columns one at a time, in enumeration order
+                for we in w_ext:
+                    acc += values(k, atom_b + be, atom_w + we, mu.cdf)
+            terms = weight * inv * acc
+        layers.append(np.bincount(atom_node, weights=terms, minlength=tree.layer_sizes[k]))
     return layers

@@ -196,24 +196,25 @@ class AdaptedMeasure:
     date ``t_k`` on common path ``b``.  Adaptedness means the column-k
     entries agree across paths sharing the same k-step prefix; this is
     checked exactly (bit for bit) at construction.
+
+    The law is stored by date: ``cdf`` is the read-only ``.T`` view of a
+    C-contiguous ``(K+1, 2**K)`` table, so a date column ``cdf[:, k]`` is
+    one contiguous block and a path row ``cdf[b]`` is a strided view.
+    The constructor copies its input once, straight into that table, and
+    checks the copy: the caller's array is neither kept nor frozen.
     """
 
     __slots__ = ("lat", "cdf")
 
     def __init__(self, lat: LatticeModel, cdf: np.ndarray):
-        cdf = np.asarray(cdf, dtype=float)
+        cdf = np.asarray(cdf)
         if cdf.shape != (lat.num_paths, lat.steps + 1):
             raise ValueError("cdf must have shape (2**K, K+1)")
-        if np.any(cdf < 0.0) or np.any(cdf > 1.0):
-            raise ValueError("cdf values must lie in [0, 1]")
-        if np.any(np.diff(cdf, axis=1) < 0):
-            raise ValueError("cdf must be nondecreasing along each path")
-        if np.any(cdf[:, -1] != 1.0):
-            raise ValueError("cdf must equal 1 at the horizon")
-        assert_adapted(lat, cdf)
-        cdf.setflags(write=False)
+        by_date = np.array(cdf.T, dtype=float, order="C")
+        _check_by_date(lat, by_date)
+        by_date.setflags(write=False)
         object.__setattr__(self, "lat", lat)
-        object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "cdf", by_date.T)
 
     def __setattr__(self, name, value):
         raise AttributeError("AdaptedMeasure is immutable")
@@ -222,6 +223,19 @@ class AdaptedMeasure:
         return (isinstance(other, AdaptedMeasure)
                 and self.lat == other.lat
                 and np.array_equal(self.cdf, other.cdf))
+
+
+def _check_by_date(lat: LatticeModel, by_date: np.ndarray) -> None:
+    """Check a law's ``(K+1, 2**K)`` table row by row (a row is a date):
+    values in [0, 1] (a NaN is outside), nondecreasing in the date, 1 at
+    the horizon, and adapted at every step."""
+    if not (by_date.min() >= 0.0 and by_date.max() <= 1.0):
+        raise ValueError("cdf values must lie in [0, 1]")
+    if (by_date[1:] < by_date[:-1]).any():
+        raise ValueError("cdf must be nondecreasing along each path")
+    if (by_date[-1] != 1.0).any():
+        raise ValueError("cdf must equal 1 at the horizon")
+    assert_adapted(lat, by_date.T)
 
 
 def assert_adapted(lat: LatticeModel, cdf: np.ndarray) -> None:

@@ -352,17 +352,19 @@ def conditional_law(rule: StoppingRule) -> AdaptedMeasure:
     """Law of the induced stopping time given the common path.
 
     ``cdf[b, k]`` counts the idiosyncratic paths already stopped by date
-    ``t_k``, divided by 2**K; the result is adapted by construction and
-    this is re-asserted exactly on return.
+    ``t_k``, divided by 2**K.  The table is built by date, as the law
+    stores it: on a w-free tree the boolean ``steps <= k``, else the
+    cumulative date counts.  The law's constructor copies it once and
+    checks it exactly, as it checks every law.
     """
     lat = rule.tree.lat
     steps = rule.stop_steps()
-    kk = np.arange(lat.steps + 1, dtype=np.int16)
     if steps.shape[1] == 1:
-        cdf = (steps <= kk[None, :]).astype(float)
+        by_date = np.arange(lat.steps + 1, dtype=np.int16)[:, None] >= steps[:, 0]
     else:
-        cdf = np.cumsum(date_counts(steps, lat.steps), axis=1) / float(lat.num_paths)
-    return AdaptedMeasure(lat, cdf)
+        cum = np.cumsum(date_counts(steps, lat.steps), axis=1)
+        by_date = np.divide(cum.T, float(lat.num_paths), order="C")
+    return AdaptedMeasure(lat, by_date.T)
 
 
 def date_counts(steps: np.ndarray, K: int) -> np.ndarray:

@@ -14,7 +14,9 @@ n-player tasks of the bank run make no scalar payoff call and build no
 wrapping the ``evaluate`` of every payoff that ``build_payoff`` returns,
 so that guard holds whatever the tracer recognises as a payoff.  The
 self-test runs ``perfbench/selftest.py`` as a user would, from the root
-of the checkout.
+of the checkout.  One test wraps the law constructor in this process
+(restored when it ends) to show that every law is built, and counted,
+there.
 """
 
 import importlib.util
@@ -24,7 +26,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import mfgtiming as m
+from mfgtiming import lattice
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -200,3 +206,34 @@ def test_benchmark_selftest_passes():
         [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
         cwd=ROOT, capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_every_law_is_built_through_the_traced_constructor(monkeypatch):
+    """The tracer counts laws at ``lattice.AdaptedMeasure.__init__``
+    (``lattice.adapted_measures``), so every law the engine makes must be
+    built there, and fully checked there: ``conditional_law`` builds one
+    law and ``sample_ordered_measures`` two."""
+    loader = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracer)
+    assert tracer.BINDINGS["lattice.adapted_measure"] == ["lattice.AdaptedMeasure.__init__"]
+
+    built = []
+    init = lattice.AdaptedMeasure.__init__
+
+    def counted(self, lat, cdf):
+        init(self, lat, cdf)
+        built.append(self)
+
+    monkeypatch.setattr(lattice.AdaptedMeasure, "__init__", counted)
+    lat = m.build_lattice(4, 0.5, 3.0, 1.0, 1.0)
+    rng = np.random.default_rng(28)
+    signal = m.build_signal_tree(lat, m.SignalModel(1.0))
+    for tree in (m.public_tree(lat), m.full_tree(lat), signal):
+        built.clear()
+        law = m.conditional_law(m.random_rule(tree, rng, p_stop=0.3))
+        assert len(built) == 1 and built[0] is law
+        built.clear()
+        early, late = m.sample_ordered_measures(tree, rng)
+        assert len(built) == 2 and built[0] is late and built[1] is early

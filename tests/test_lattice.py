@@ -74,6 +74,29 @@ def test_adapted_measure_validation():
         m.AdaptedMeasure(lat, open_end)
 
 
+def test_adapted_measure_keeps_a_copy_not_the_callers_array():
+    lat = m.build_lattice(2, 1.0, 0.0, 1.0, 1.0)
+    cdf = np.tile([0.0, 0.5, 1.0], (4, 1))
+    mu = m.AdaptedMeasure(lat, cdf)
+    assert cdf.flags.writeable  # the caller's array is not frozen
+    assert not mu.cdf.flags.writeable
+    cdf[0, 0] = 0.75
+    assert mu.cdf[0, 0] == 0.0
+    # stored by date: a column is one contiguous block
+    assert mu.cdf.T.flags.c_contiguous and mu.cdf.dtype == np.float64
+    assert mu.cdf[:, 1].flags.c_contiguous
+    assert mu == m.AdaptedMeasure(lat, np.tile([0.0, 0.5, 1.0], (4, 1)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_adapted_measure_reports_nan_as_out_of_range(k):
+    lat = m.build_lattice(2, 1.0, 0.0, 1.0, 1.0)
+    cdf = np.tile([0.0, 0.5, 1.0], (4, 1))
+    cdf[1, k] = np.nan
+    with pytest.raises(ValueError, match=r"^cdf values must lie in \[0, 1\]$"):
+        m.AdaptedMeasure(lat, cdf)
+
+
 def gather_adapted_step(lat, cdf):
     """First step whose column is not a function of the prefix, by gather."""
     for k in range(lat.steps + 1):

@@ -366,3 +366,72 @@ def test_steps_at_and_date_counts_equal_per_path_loop(name, steps, seed, rows, c
                 loop[i, date] += 1
         counts = date_counts(table, K)
         assert counts.dtype == loop.dtype and np.array_equal(counts, loop)
+
+
+def row_major_law(rule):
+    """A rule's law built path by path, as a row-major float64 table: the
+    formula that ``conditional_law``'s by-date build must match bit for bit."""
+    lat = rule.tree.lat
+    steps = rule.stop_steps()
+    kk = np.arange(lat.steps + 1, dtype=np.int16)
+    if steps.shape[1] == 1:
+        return (steps <= kk[None, :]).astype(float)
+    return np.cumsum(date_counts(steps, lat.steps), axis=1) / float(lat.num_paths)
+
+
+def law_faults(cdf, rng):
+    """Copies of a valid law's table that each break one check of
+    ``AdaptedMeasure``, with the message that check raises."""
+    n, K = cdf.shape[0], cdf.shape[1] - 1
+    b = int(rng.integers(n))
+    faults = []
+    bad = cdf.copy()
+    bad[b, int(rng.integers(K + 1))] = rng.choice([-0.25, 1.5, np.nan])
+    faults.append((bad, r"cdf values must lie in \[0, 1\]"))
+    bad = cdf.copy()
+    bad[b, 0], bad[b, 1] = 1.0, 0.0
+    faults.append((bad, "cdf must be nondecreasing along each path"))
+    bad = cdf.copy()
+    bad[b] = 0.0
+    faults.append((bad, "cdf must equal 1 at the horizon"))
+    # one path stops from step k on while the other paths of its k-step prefix
+    # do not; if everyone stops at date 0, one path waits to the horizon instead
+    open_cells = np.argwhere(cdf[:, :K] < 1.0)
+    bad = cdf.copy()
+    if len(open_cells):
+        b, k = open_cells[int(rng.integers(len(open_cells)))].tolist()
+        bad[b, k:] = 1.0
+    else:
+        k = 0
+        bad[b, :K] = 0.0
+    faults.append((bad, f"cdf not adapted at step {k}"))
+    return faults
+
+
+def layouts(table):
+    """The table in C order, in Fortran order and, where its values are all
+    0 or 1, as booleans (a boolean table cannot leave [0, 1])."""
+    out = [np.ascontiguousarray(table), np.asfortranarray(table)]
+    if np.isin(table, (0.0, 1.0)).all():
+        out.append(table.astype(bool))
+    return out
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(["public", "full", "signal-1"]), steps=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1), p_stop=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+def test_conditional_law_by_date_equals_row_major_and_checks_every_fault(
+        name, steps, seed, p_stop):
+    lat = m.build_lattice(steps, 0.5, 3.0, 1.0, 1.0)
+    rng = np.random.default_rng(seed)
+    rule = m.random_rule(TREES[name](lat), rng, p_stop=p_stop)
+    law, want = m.conditional_law(rule), row_major_law(rule)
+    assert law.cdf.shape == want.shape and law.cdf.dtype == want.dtype == np.float64
+    assert np.array_equal(law.cdf, want)
+    assert law.cdf.T.flags.c_contiguous and not law.cdf.flags.writeable
+    for table in layouts(want):
+        assert m.AdaptedMeasure(lat, table) == law
+    for bad, message in law_faults(want, rng):
+        for table in layouts(bad):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                m.AdaptedMeasure(lat, table)
